@@ -383,11 +383,11 @@ def solve_hpd_pair(mr, mi, br, bi):
         dL/dB  = U
         dL/dM  = -U X^H
 
-    dL/dM is the unconstrained full-matrix sensitivity. The factorization
-    itself reads only the lower triangle, but whenever (mr, mi) are produced
-    by a Hermitian-by-construction computation (G G^H + diag), the mirrored
-    upper/lower contributions recombine into exactly the right gradient for
-    the producing ops; see the gradient tests.
+    dL/dM is the unconstrained full-matrix sensitivity, which is exact
+    because the solve reads every entry of M (the Cholesky guard decides
+    only whether it raises). When (mr, mi) come from a Hermitian-by-
+    construction computation (G G^H + diag), the producing ops receive the
+    upper and lower contributions together; see the gradient tests.
     """
     mr, mi = as_tensor(mr), as_tensor(mi)
     br, bi = as_tensor(br), as_tensor(bi)

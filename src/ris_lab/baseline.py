@@ -2,7 +2,7 @@
 
 The baseline alternates projected gradient ascent on the power split
 (Euclidean projection onto the budget simplex) with gradient ascent on the
-phase shifts (wrapped to one period), both driven by backpropagated
+phase shifts (wrapped to one period), both driven by the closed-form
 gradients of the weighted sum rate and safeguarded by a backtracking line
 search, so the objective trace never decreases. Step sizes are warm
 started across outer iterations. The grid oracle exhaustively scans a
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from . import transmit as tm
 
 _TWO_PI = 2.0 * np.pi
@@ -79,17 +78,6 @@ def wrap_phase(phi) -> np.ndarray:
     return w
 
 
-def _value_and_grads(batch, channels, p, phi):
-    """Objective gradients at (p, phi) from one taped evaluation."""
-    pt = ad.Tensor(p[None, :].copy())
-    ft = ad.Tensor(phi[None, :].copy())
-    out = tm.weighted_sum_rate_graph(batch, pt, ft)
-    ad.tsum(out).backward()
-    gp = np.zeros_like(p) if pt.grad is None else pt.grad[0].copy()
-    gphi = np.zeros_like(phi) if ft.grad is None else ft.grad[0].copy()
-    return gp, gphi
-
-
 def _line_search(channels, f_curr, step, config, propose):
     """Backtrack until the proposed point strictly improves the objective.
 
@@ -113,7 +101,6 @@ def ao_optimize(channels: tm.ChannelSet, config: AOConfig):
     generator is consumed only for the initial phases, so runs with more
     iterations extend shorter ones exactly.
     """
-    batch = tm.ChannelBatch.from_sets([channels])
     rng = np.random.default_rng(config.seed)
     k, n = channels.K, channels.N
     initial_phases = rng.uniform(0.0, _TWO_PI, (config.restarts, n))
@@ -126,13 +113,13 @@ def ao_optimize(channels: tm.ChannelSet, config: AOConfig):
         step_p, step_phi = config.step_p, config.step_phi
         for _ in range(config.iterations):
             if k > 1:
-                gp, _ = _value_and_grads(batch, channels, p, phi)
+                gp, _ = tm.weighted_sum_rate_grads(channels, p, phi)
                 moved, f_new, step_p = _line_search(
                     channels, f_curr, step_p, config,
                     lambda s: (project_simplex(p + s * gp, channels.p_max), phi))
                 if moved is not None:
                     p, f_curr = moved[0], f_new
-            _, gphi = _value_and_grads(batch, channels, p, phi)
+            _, gphi = tm.weighted_sum_rate_grads(channels, p, phi)
             moved, f_new, step_phi = _line_search(
                 channels, f_curr, step_phi, config,
                 lambda s: (p, phi + s * gphi))

@@ -3,10 +3,10 @@
 A C-contiguous complex128 array viewed as float64 exposes row-major
 interleaved (real, imag) pairs with zero copy, which is exactly the layout
 the autodiff side and the binary dataset format consume. Matrices here are
-small (K <= 16), so the Hermitian-positive-definite solve is a hand-rolled
-Cholesky with forward/back substitution, vectorized over any leading batch
-dimensions. The factorization reads only the lower triangle and the real
-part of the diagonal, and fails on a non-positive pivot.
+small (K <= 16) and often batched, so the Hermitian-positive-definite solve
+hands each stack to LAPACK: a Cholesky factorization, which reads only the
+lower triangle and the real part of the diagonal, guards positive
+definiteness, and a general solve produces the result.
 """
 
 from __future__ import annotations
@@ -64,47 +64,36 @@ def l2norm(v) -> float:
 def cholesky_hpd(m) -> np.ndarray:
     """Lower-triangular L with M = L L^H for Hermitian positive definite M.
 
-    Accepts (..., K, K); only the lower triangle of M is read. Raises
-    NotPositiveDefiniteError("not positive definite") on a non-positive pivot.
+    Accepts (..., K, K); only the lower triangle and the real part of the
+    diagonal of M are read. Raises NotPositiveDefiniteError("not positive
+    definite") when any matrix of the stack has a non-positive pivot.
     """
     m = as_cmat(m, "M")
     k = m.shape[-1]
     if m.shape[-2] != k:
         raise ValueError(f"M must be square, got {m.shape}")
-    L = np.zeros_like(m)
-    for j in range(k):
-        lj = L[..., j, :j]
-        s = m[..., j, j].real - np.sum(lj.real ** 2 + lj.imag ** 2, axis=-1)
-        if np.any(s <= 0.0):
-            raise NotPositiveDefiniteError("not positive definite")
-        d = np.sqrt(s)
-        L[..., j, j] = d
-        if j + 1 < k:
-            rows = L[..., j + 1:, :j]
-            v = m[..., j + 1:, j] - np.einsum("...ij,...j->...i", rows, np.conjugate(lj))
-            L[..., j + 1:, j] = v / d[..., None]
-    return L
+    try:
+        return np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefiniteError("not positive definite") from None
 
 
 def solve_hpd(m, b) -> np.ndarray:
-    """Solve M X = B for Hermitian positive definite M via Cholesky.
+    """Solve M X = B for Hermitian positive definite M.
 
-    M: (..., K, K); B: (..., K, R). Residual satisfies
-    ||M X - B||_F <= 1e-10 ||B||_F for well-conditioned M.
+    M: (..., K, K); B: (..., K, R), leading dimensions broadcast. The
+    Cholesky factorization only guards positive definiteness; X comes from
+    one batched LAPACK solve, which beats two triangular solves on stacks.
+    Residual satisfies ||M X - B||_F <= 1e-10 ||B||_F for well-conditioned M.
     """
     m = as_cmat(m, "M")
     b = as_cmat(b, "B")
     k = m.shape[-1]
     if b.shape[-2] != k:
         raise ValueError(f"dimension mismatch: M is {m.shape}, B is {b.shape}")
-    L = cholesky_hpd(m)
-    y = np.zeros(np.broadcast_shapes(L.shape[:-2], b.shape[:-2]) + b.shape[-2:], dtype=np.complex128)
-    bb = np.broadcast_to(b, y.shape)
-    for i in range(k):
-        acc = np.einsum("...j,...jr->...r", L[..., i, :i], y[..., :i, :])
-        y[..., i, :] = (bb[..., i, :] - acc) / L[..., i, i][..., None]
-    x = np.zeros_like(y)
-    for i in reversed(range(k)):
-        acc = np.einsum("...j,...jr->...r", np.conjugate(L[..., i + 1:, i]), x[..., i + 1:, :])
-        x[..., i, :] = (y[..., i, :] - acc) / L[..., i, i].real[..., None]
-    return x
+    cholesky_hpd(m)
+    # Broadcast explicitly: numpy 1.x reads a B one dimension short of M as
+    # a stack of vectors.
+    lead = np.broadcast_shapes(m.shape[:-2], b.shape[:-2])
+    return np.linalg.solve(np.broadcast_to(m, lead + m.shape[-2:]),
+                           np.broadcast_to(b, lead + b.shape[-2:]))

@@ -43,6 +43,8 @@ class SceneGenConfig:
         lo, hi = self.obstacle_size
         if not 0.0 < lo <= hi:
             raise ValueError("obstacle_size must be an increasing positive pair")
+        if self.max_obstacles > 0 and hi >= self.region:
+            raise ValueError("obstacle_size must stay below region")
         if not 0.0 < self.min_fill < 1.0:
             raise ValueError("min_fill must lie in (0, 1)")
         if self.clearance < 0.0 or self.kappa < 0.0:
@@ -118,7 +120,7 @@ def random_scene(config: SceneGenConfig, rng: np.random.Generator) -> Scene:
             obstacles.append(poly)
             break
         else:
-            raise RuntimeError("could not place an obstacle; relax the config")
+            raise ValueError("could not place an obstacle; relax the config")
 
     users = []
     margin = config.region - USER_RADIUS_M - 0.1
@@ -139,7 +141,7 @@ def random_scene(config: SceneGenConfig, rng: np.random.Generator) -> Scene:
             users.append(pos)
             break
         else:
-            raise RuntimeError("could not place a user; relax the config")
+            raise ValueError("could not place a user; relax the config")
 
     return Scene(ris_positions=ris, users=users, obstacles=obstacles,
                  kappa=config.kappa)

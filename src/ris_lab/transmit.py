@@ -12,13 +12,15 @@ phase shifts. Beamformers factor into a power split p (on the simplex
 scaled to the budget) and unit-norm MMSE directions recomputed from the
 stacked rows. This module provides the typed containers, the channel
 sampler, the rate expressions in both the full-beamformer and the
-power-plus-direction form, a batched differentiable evaluation used by the
-learning and baseline optimizers, and the dataset file format.
+power-plus-direction form, the closed-form objective gradient used by the
+baseline optimizer, a batched differentiable evaluation used by the
+learning optimizer, and the dataset file format.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -29,6 +31,7 @@ from . import autodiff as ad
 from . import clinalg
 
 _BUDGET_TOL = 1e-9
+_LN2 = math.log(2.0)
 _TWO_PI = 2.0 * np.pi
 
 _MAGIC = b"RISD"
@@ -301,6 +304,48 @@ def user_rates(channels: ChannelSet, p, phi) -> np.ndarray:
 def weighted_sum_rate(channels: ChannelSet, p, phi) -> float:
     """The scalar objective: weights dotted with the per-user rates."""
     return float(channels.user_weight @ user_rates(channels, p, phi))
+
+
+def weighted_sum_rate_grads(channels: ChannelSet, p, phi):
+    """Exact gradients (d/dp, d/dphi) of weighted_sum_rate at (p, phi).
+
+    A hand-written reverse pass in complex numpy, for one sample without a
+    tape. Forward: F = conj(g) + u @ H with u = conj(h) e^{j phi},
+    A = F F^H + diag(sigma2), T = A^{-1} F, d = F T^H, q_i = |t_i|^2 and
+    gain = |d|^2 / q. Backward uses the solve adjoint that
+    autodiff.solve_hpd_pair encodes: U = A^{-1} Tbar, Abar = -U T^H and
+    Fbar += U + (Abar + Abar^H) F, which costs one more solve with A.
+    """
+    p_arr = _power_array(p)
+    phi_arr = _phase_array(phi)
+    sigma2, weight = channels.sigma2, channels.user_weight
+    k = channels.K
+    u = np.conj(channels.h) * np.exp(1j * phi_arr)
+    F = np.conj(channels.g) + u @ channels.H
+    A = F @ F.conj().T + np.diag(sigma2)
+    T = clinalg.solve_hpd(A, F)
+    d = F @ T.conj().T
+    q = np.sum(T.real ** 2 + T.imag ** 2, axis=1)
+    gain = (d.real ** 2 + d.imag ** 2) / q
+    contrib = gain * p_arr  # contrib[k, i] = p_i |f_k . w_bar_i|^2
+    off = 1.0 - np.eye(k)
+    den = np.sum(contrib * off, axis=1) + sigma2
+    total = den + np.diagonal(contrib)
+
+    # rate_k = log2(total_k) - log2(den_k)
+    cbar = (weight / total)[:, None] - (weight / den)[:, None] * off
+    cbar /= _LN2
+    gp = np.sum(cbar * gain, axis=0)
+    gain_bar = cbar * p_arr
+    dbar = (2.0 * gain_bar / q) * d
+    qbar = -np.sum(gain_bar * gain, axis=0) / q
+    Tbar = dbar.conj().T @ F + (2.0 * qbar)[:, None] * T
+    U = clinalg.solve_hpd(A, Tbar)
+    Abar = -U @ T.conj().T
+    Fbar = dbar @ T + U + (Abar + Abar.conj().T) @ F
+    ubar = Fbar @ channels.H.conj().T
+    gphi = np.sum(ubar * np.conj(u), axis=0).imag
+    return gp, gphi
 
 
 # --- batched containers -------------------------------------------------------------

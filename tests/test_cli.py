@@ -120,6 +120,23 @@ def test_agreement_run_is_deterministic(workdir, capsys):
     assert "agreement: " in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("region,standoff,message", [
+    (5.0, 2.0, "could not place a user"),
+    (3.0, 2.5, "obstacle_size must stay below region"),
+])
+def test_infeasible_scene_config_exits_2(workdir, capsys, region, standoff,
+                                         message):
+    save_config("run.json", small_config())
+    doc = json.loads((workdir / "run.json").read_text())
+    doc["scene"].update(region=region, standoff=standoff)
+    (workdir / "run.json").write_text(json.dumps(doc))
+    rc = cli.main(["select-ris", "--agreement", "3", "--config", "run.json"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1
+
+
 # --- gen-data -------------------------------------------------------------
 
 def test_gen_data_replay_is_byte_identical(workdir):

@@ -116,6 +116,28 @@ def test_solve_rejects_non_pd():
         solve_hpd(gram(hermitian(v)), np.eye(2))
 
 
+def test_solve_rejects_one_non_pd_matrix_in_a_batch():
+    rng = np.random.default_rng(10)
+    m = gram(_crand(rng, 4, 3, 5)) + np.eye(3)
+    m[2] = -m[2]
+    with pytest.raises(NotPositiveDefiniteError, match="not positive definite"):
+        cholesky_hpd(m)
+    with pytest.raises(NotPositiveDefiniteError):
+        solve_hpd(m, np.eye(3))
+
+
+def test_solve_broadcasts_one_rhs_over_a_batch():
+    # B one dimension short of M: a shared (K, R) right-hand side, not a
+    # stack of vectors
+    rng = np.random.default_rng(11)
+    m = gram(_crand(rng, 5, 3, 6)) + np.eye(3)
+    b = _crand(rng, 3, 2)
+    batched = solve_hpd(m, b)
+    assert batched.shape == (5, 3, 2)
+    for i in range(5):
+        assert np.array_equal(batched[i], solve_hpd(m[i], b))
+
+
 def test_solve_dimension_checks():
     with pytest.raises(ValueError):
         solve_hpd(np.eye(3)[:2], np.eye(3))
@@ -130,6 +152,16 @@ def test_cholesky_reads_only_lower_triangle():
     m2 = m.copy()
     m2[np.triu_indices(4, k=1)] = 123.0 + 4.56j  # garbage in strict upper triangle
     assert np.array_equal(cholesky_hpd(m), cholesky_hpd(m2))
+
+
+def test_cholesky_ignores_imaginary_part_of_diagonal():
+    rng = np.random.default_rng(9)
+    m = gram(_crand(rng, 4, 6)) + np.eye(4)
+    m2 = m.copy()
+    m2[np.diag_indices(4)] += 1j * rng.uniform(-50.0, 50.0, 4)
+    L = cholesky_hpd(m)
+    assert np.array_equal(L, cholesky_hpd(m2))
+    assert np.allclose(L @ hermitian(L), m, rtol=0, atol=1e-12)
 
 
 def test_complex128_view_is_interleaved_pairs():

@@ -355,6 +355,90 @@ def test_graph_gradient_matches_finite_differences():
     assert report.passed, str(report)
 
 
+# --- closed-form gradient -----------------------------------------------------------
+
+def tape_grads(channels, p, phi):
+    """Gradients of the taped objective on a batch of one."""
+    pt, ft = ad.Tensor(p[None, :].copy()), ad.Tensor(phi[None, :].copy())
+    batch = tm.ChannelBatch.from_sets([channels])
+    ad.tsum(tm.weighted_sum_rate_graph(batch, pt, ft)).backward()
+    return pt.grad[0], ft.grad[0]
+
+
+def random_point(rng, k, n, nt):
+    ch = tm.sample_channels(1.0, np.ones(k), np.ones(k), (n, nt), rng, eta=0.0,
+                            sigma2=rng.uniform(0.05, 2.0, k),
+                            user_weight=rng.uniform(0.2, 2.0, k))
+    return ch, random_power(rng, k), rng.uniform(0, 2 * np.pi, n)
+
+
+def rel_gap(got, want):
+    return np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300)
+
+
+@pytest.mark.parametrize("k,n,nt", [(1, 1, 1), (1, 3, 2), (2, 3, 3), (3, 4, 2),
+                                    (4, 8, 8), (5, 2, 3)])
+def test_grads_match_tape(k, n, nt):
+    rng = np.random.default_rng(1000 + 100 * k + 10 * n + nt)
+    for _ in range(4):
+        ch, p, phi = random_point(rng, k, n, nt)
+        gp, gphi = tm.weighted_sum_rate_grads(ch, p, phi)
+        tp, tphi = tape_grads(ch, p, phi)
+        assert gp.shape == (k,) and gphi.shape == (n,)
+        assert rel_gap(gp, tp) <= 1e-12
+        assert rel_gap(gphi, tphi) <= 1e-12
+
+
+@pytest.mark.parametrize("k,n,nt", [(1, 2, 2), (3, 4, 2), (2, 3, 5)])
+def test_grads_match_finite_differences(k, n, nt):
+    rng = np.random.default_rng(2000 + 100 * k + 10 * n + nt)
+    ch, p, phi = random_point(rng, k, n, nt)
+    gp, gphi = tm.weighted_sum_rate_grads(ch, p, phi)
+    step = 1e-6
+
+    def central(x, i, f):
+        up, down = x.copy(), x.copy()
+        up[i] += step
+        down[i] -= step
+        return (f(up) - f(down)) / (2 * step)
+
+    fd_p = [central(p, i, lambda v: tm.weighted_sum_rate(ch, v, phi))
+            for i in range(k)]
+    fd_phi = [central(phi, i, lambda v: tm.weighted_sum_rate(ch, p, v))
+              for i in range(n)]
+    assert np.allclose(gp, fd_p, rtol=1e-6, atol=1e-8)
+    assert np.allclose(gphi, fd_phi, rtol=1e-6, atol=1e-8)
+
+
+def test_grads_invariant_under_per_user_phase_rotation():
+    # e^{j theta_k} on (h_k, g_k) multiplies row f_k by e^{-j theta_k}: the
+    # rates, and so the objective and both gradients, do not move
+    rng = np.random.default_rng(2101)
+    ch, p, phi = random_point(rng, 3, 4, 3)
+    rot = np.exp(1j * rng.uniform(0, 2 * np.pi, 3))[:, None]
+    turned = tm.ChannelSet(H=ch.H, h=ch.h * rot, g=ch.g * rot, sigma2=ch.sigma2,
+                           user_weight=ch.user_weight, p_max=ch.p_max)
+    assert tm.weighted_sum_rate(turned, p, phi) == pytest.approx(
+        tm.weighted_sum_rate(ch, p, phi), rel=1e-12)
+    gp, gphi = tm.weighted_sum_rate_grads(ch, p, phi)
+    gp2, gphi2 = tm.weighted_sum_rate_grads(turned, p, phi)
+    assert rel_gap(gp2, gp) <= 1e-10
+    assert rel_gap(gphi2, gphi) <= 1e-10
+
+
+def test_grads_follow_a_user_permutation():
+    rng = np.random.default_rng(2102)
+    ch, p, phi = random_point(rng, 4, 3, 5)
+    perm = np.array([2, 0, 3, 1])
+    swapped = tm.ChannelSet(H=ch.H, h=ch.h[perm], g=ch.g[perm],
+                            sigma2=ch.sigma2[perm],
+                            user_weight=ch.user_weight[perm], p_max=ch.p_max)
+    gp, gphi = tm.weighted_sum_rate_grads(ch, p, phi)
+    gp2, gphi2 = tm.weighted_sum_rate_grads(swapped, p[perm], phi)
+    assert rel_gap(gp2, gp[perm]) <= 1e-10
+    assert rel_gap(gphi2, gphi) <= 1e-10
+
+
 # --- dataset files ------------------------------------------------------------------
 
 def test_dataset_round_trip(tmp_path):
