@@ -5,10 +5,10 @@ its value, its parents and a closure that propagates the upstream gradient.
 backward() topologically sorts the implicit tape and visits each node once in
 reverse order.
 
-Complex quantities never enter the tape directly. Every complex op is lowered
-to (real, imag) Tensor pairs first (complex_mul_pair, complex_matmul_pair,
-solve_hpd_pair, ...), so finite-difference checking stays coordinate-wise
-real and there is no Wirtinger convention to argue about.
+The tape is real-valued: it carries the policy network and its loss. A
+complex computation enters as one node whose forward and backward are
+written in complex numpy by its owner (transmit.weighted_sum_rate_graph),
+so finite-difference checking stays coordinate-wise real.
 
 Elementwise ops broadcast like numpy; backward un-broadcasts by summing the
 gradient over the broadcast axes. matmul follows numpy stacked-matrix
@@ -17,14 +17,9 @@ semantics (leading batch dimensions broadcast).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import clinalg
-
-_LN2 = math.log(2.0)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -109,9 +104,6 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, other)
 
-    def __truediv__(self, other):
-        return div(self, other)
-
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -172,19 +164,6 @@ def reciprocal(a) -> Tensor:
     return out
 
 
-def div(a, b) -> Tensor:
-    return mul(a, reciprocal(b))
-
-
-def log2(a) -> Tensor:
-    a = as_tensor(a)
-    if np.any(a.data <= 0.0):
-        raise ValueError("log2: non-positive input")
-    out = Tensor(np.log2(a.data), (a,))
-    out._backward = lambda g: a._accum(g / (a.data * _LN2))
-    return out
-
-
 def sqrt(a) -> Tensor:
     a = as_tensor(a)
     if np.any(a.data < 0.0):
@@ -192,28 +171,6 @@ def sqrt(a) -> Tensor:
     y = np.sqrt(a.data)
     out = Tensor(y, (a,))
     out._backward = lambda g: a._accum(g / (2.0 * y))
-    return out
-
-
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    y = np.exp(a.data)
-    out = Tensor(y, (a,))
-    out._backward = lambda g: a._accum(g * y)
-    return out
-
-
-def cos(a) -> Tensor:
-    a = as_tensor(a)
-    out = Tensor(np.cos(a.data), (a,))
-    out._backward = lambda g: a._accum(-g * np.sin(a.data))
-    return out
-
-
-def sin(a) -> Tensor:
-    a = as_tensor(a)
-    out = Tensor(np.sin(a.data), (a,))
-    out._backward = lambda g: a._accum(g * np.cos(a.data))
     return out
 
 
@@ -311,23 +268,6 @@ def matmul(a, b) -> Tensor:
     return out
 
 
-def diagonal_last2(a) -> Tensor:
-    a = as_tensor(a)
-    if a.data.ndim < 2 or a.data.shape[-1] != a.data.shape[-2]:
-        raise ValueError("diagonal_last2 needs square trailing dims")
-    k = a.data.shape[-1]
-    idx = np.arange(k)
-    out = Tensor(a.data[..., idx, idx], (a,))
-
-    def _bw(g):
-        full = np.zeros_like(a.data)
-        full[..., idx, idx] = g
-        a._accum(full)
-
-    out._backward = _bw
-    return out
-
-
 # --- batchnorm ------------------------------------------------------------------
 
 def batchnorm_train(x, gamma, beta, eps=1e-5):
@@ -344,74 +284,6 @@ def batchnorm_train(x, gamma, beta, eps=1e-5):
     inv = reciprocal(sqrt(add(var, eps)))
     y = add(mul(mul(xc, inv), gamma), beta)
     return y, mu.data.reshape(-1).copy(), var.data.reshape(-1).copy()
-
-
-def batchnorm_infer(x, gamma, beta, running_mean, running_var, eps=1e-5):
-    """Batch normalization with frozen statistics (inference mode)."""
-    x = as_tensor(x)
-    xc = sub(x, running_mean)
-    inv = 1.0 / np.sqrt(np.asarray(running_var, dtype=np.float64) + eps)
-    return add(mul(mul(xc, inv), gamma), beta)
-
-
-# --- complex pairs ----------------------------------------------------------------
-
-def complex_mul_pair(ar, ai, br, bi):
-    """Elementwise complex multiply on (real, imag) Tensor pairs."""
-    return sub(mul(ar, br), mul(ai, bi)), add(mul(ar, bi), mul(ai, br))
-
-
-def magnitude_squared_pair(ar, ai) -> Tensor:
-    return add(mul(ar, ar), mul(ai, ai))
-
-
-def complex_matmul_pair(a_pair, b_pair):
-    """Complex matmul on (real, imag) pairs via four real matmuls."""
-    ar, ai = a_pair
-    br, bi = b_pair
-    return sub(matmul(ar, br), matmul(ai, bi)), add(matmul(ar, bi), matmul(ai, br))
-
-
-def solve_hpd_pair(mr, mi, br, bi):
-    """X = M^{-1} B for Hermitian positive definite M, on (real, imag) pairs.
-
-    Forward delegates to clinalg.solve_hpd, so values match the non-taped
-    path bit for bit. Backward uses the solve adjoint: with upstream pair
-    gradient Gbar = Gr + j*Gi,
-
-        U      = M^{-H} Gbar  (= M^{-1} Gbar, M is Hermitian)
-        dL/dB  = U
-        dL/dM  = -U X^H
-
-    dL/dM is the unconstrained full-matrix sensitivity, which is exact
-    because the solve reads every entry of M (the Cholesky guard decides
-    only whether it raises). When (mr, mi) come from a Hermitian-by-
-    construction computation (G G^H + diag), the producing ops receive the
-    upper and lower contributions together; see the gradient tests.
-    """
-    mr, mi = as_tensor(mr), as_tensor(mi)
-    br, bi = as_tensor(br), as_tensor(bi)
-    m = mr.data + 1j * mi.data
-    b = br.data + 1j * bi.data
-    x = clinalg.solve_hpd(m, b)
-    out_r = Tensor(x.real, (mr, mi, br, bi))
-    out_i = Tensor(x.imag, (mr, mi, br, bi))
-    mh = np.conjugate(np.swapaxes(m, -1, -2))
-    xh = np.conjugate(np.swapaxes(x, -1, -2))
-
-    def _propagate(gbar):
-        # the adjoint is linear in gbar, so each output pair member can
-        # propagate its own contribution independently
-        u = clinalg.solve_hpd(mh, gbar)
-        gm = -u @ xh
-        mr._accum(_unbroadcast(gm.real, mr.data.shape))
-        mi._accum(_unbroadcast(gm.imag, mi.data.shape))
-        br._accum(_unbroadcast(u.real, br.data.shape))
-        bi._accum(_unbroadcast(u.imag, bi.data.shape))
-
-    out_r._backward = lambda g: _propagate(g.astype(np.complex128))
-    out_i._backward = lambda g: _propagate(1j * g)
-    return out_r, out_i
 
 
 # --- gradient checking --------------------------------------------------------------

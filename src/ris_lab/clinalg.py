@@ -2,10 +2,10 @@
 
 A C-contiguous complex128 array viewed as float64 exposes row-major
 interleaved (real, imag) pairs with zero copy, which is exactly the layout
-the autodiff side and the binary dataset format consume. Matrices here are
-small (K <= 16) and often batched, so the Hermitian-positive-definite solve
-hands each stack to LAPACK: a Cholesky factorization, which reads only the
-lower triangle and the real part of the diagonal, guards positive
+the network input vector and the binary dataset format use. Matrices here
+are small (K <= 16) and often batched, so the Hermitian-positive-definite
+solve hands each stack to LAPACK: a Cholesky factorization, which reads
+only the lower triangle and the real part of the diagonal, guards positive
 definiteness, and a general solve produces the result.
 """
 
@@ -29,36 +29,10 @@ def as_cmat(a, name="matrix") -> np.ndarray:
     return a
 
 
-def as_cvec(v, name="vector") -> np.ndarray:
-    v = np.asarray(v, dtype=np.complex128)
-    if v.ndim != 1 or v.shape[0] < 1:
-        raise ValueError(f"{name} must be a 1-d array of length >= 1")
-    if not (np.all(np.isfinite(v.real)) and np.all(np.isfinite(v.imag))):
-        raise ValueError(f"{name} has non-finite entries")
-    return v
-
-
-def matmul(a, b) -> np.ndarray:
-    a = as_cmat(a, "A")
-    b = as_cmat(b, "B")
-    if a.shape[-1] != b.shape[-2]:
-        raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    return a @ b
-
-
-def hermitian(a) -> np.ndarray:
-    a = as_cmat(a)
-    return np.conjugate(np.swapaxes(a, -1, -2))
-
-
 def gram(a) -> np.ndarray:
     """A @ A^H, Hermitian positive semi-definite by construction."""
     a = as_cmat(a)
     return a @ np.conjugate(np.swapaxes(a, -1, -2))
-
-
-def l2norm(v) -> float:
-    return float(np.linalg.norm(as_cvec(v)))
 
 
 def cholesky_hpd(m) -> np.ndarray:
@@ -68,9 +42,12 @@ def cholesky_hpd(m) -> np.ndarray:
     diagonal of M are read. Raises NotPositiveDefiniteError("not positive
     definite") when any matrix of the stack has a non-positive pivot.
     """
-    m = as_cmat(m, "M")
-    k = m.shape[-1]
-    if m.shape[-2] != k:
+    return _cholesky(as_cmat(m, "M"))
+
+
+def _cholesky(m):
+    """cholesky_hpd on an M that as_cmat has already checked."""
+    if m.shape[-2] != m.shape[-1]:
         raise ValueError(f"M must be square, got {m.shape}")
     try:
         return np.linalg.cholesky(m)
@@ -88,10 +65,9 @@ def solve_hpd(m, b) -> np.ndarray:
     """
     m = as_cmat(m, "M")
     b = as_cmat(b, "B")
-    k = m.shape[-1]
-    if b.shape[-2] != k:
+    if b.shape[-2] != m.shape[-1]:
         raise ValueError(f"dimension mismatch: M is {m.shape}, B is {b.shape}")
-    cholesky_hpd(m)
+    _cholesky(m)
     # Broadcast explicitly: numpy 1.x reads a B one dimension short of M as
     # a stack of vectors.
     lead = np.broadcast_shapes(m.shape[:-2], b.shape[:-2])

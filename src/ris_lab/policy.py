@@ -146,66 +146,29 @@ def vectorize_batch(batch: tm.ChannelBatch) -> np.ndarray:
     return np.ascontiguousarray(flat).view(np.float64)
 
 
-def devectorize(vec, dims, *, sigma2=1.0, user_weight=None,
-                p_max=1.0) -> tm.ChannelSet:
-    """Rebuild a ChannelSet from a vectorized input; the noise, weights and
-    budget are not part of the vector and must be supplied."""
-    k, n, nt = (int(d) for d in dims)
-    vec = np.asarray(vec, dtype=np.float64)
-    a1 = input_width(dims)
-    if vec.shape != (a1,):
-        raise ValueError(f"expected input of length {a1}, got shape {vec.shape}")
-    cplx = np.ascontiguousarray(vec).view(np.complex128)
-    H = cplx[:n * nt].reshape(n, nt)
-    h = cplx[n * nt:n * nt + k * n].reshape(k, n)
-    g = cplx[n * nt + k * n:].reshape(k, nt)
-    sig = np.broadcast_to(np.asarray(sigma2, dtype=np.float64), (k,)).copy()
-    weight = (np.ones(k) if user_weight is None
-              else np.broadcast_to(np.asarray(user_weight, dtype=np.float64), (k,)).copy())
-    return tm.ChannelSet(H=H, h=h, g=g, sigma2=sig, user_weight=weight, p_max=p_max)
-
-
 # --- forward passes -----------------------------------------------------------------
 
-def _forward(params: MLPParams, x, mode):
-    """Taped forward pass. Returns (raw_p, raw_phi, batch_stats); the stats
-    list is empty in infer mode."""
-    if mode not in ("train", "infer"):
-        raise ValueError(f"unknown mode {mode!r}")
-    arr = x.data if isinstance(x, ad.Tensor) else np.asarray(x, dtype=np.float64)
-    single = arr.ndim == 1
-    if single:
-        arr = arr[None, :]
+def _forward(params: MLPParams, x):
+    """Taped training forward pass on a (batch, a1) input, normalizing with
+    batch statistics. Returns (raw_p, raw_phi, batch_stats), the raw head
+    outputs in (0, 1) and each hidden layer's (mean, variance)."""
+    arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != params.a1:
         raise ValueError(f"input must have {params.a1} features, got {arr.shape}")
-    d = ad.as_tensor(arr)
+    d = ad.Tensor(arr)
     stats = []
     for g in range(len(params.hidden)):
         z = ad.add(ad.matmul(d, ad.transpose_last2(params.weights[g])),
                    params.biases[g])
-        if mode == "train":
-            y, mu, var = ad.batchnorm_train(z, params.bn_scale[g],
-                                            params.bn_shift[g], eps=_BN_EPS)
-            stats.append((mu, var))
-        else:
-            y = ad.batchnorm_infer(z, params.bn_scale[g], params.bn_shift[g],
-                                   params.bn_mean[g], params.bn_var[g],
-                                   eps=_BN_EPS)
+        y, mu, var = ad.batchnorm_train(z, params.bn_scale[g],
+                                        params.bn_shift[g], eps=_BN_EPS)
+        stats.append((mu, var))
         d = ad.relu(y)
     raw_p = ad.sigmoid(ad.add(ad.matmul(d, ad.transpose_last2(params.head_p_w)),
                               params.head_p_b))
     raw_phi = ad.sigmoid(ad.add(ad.matmul(d, ad.transpose_last2(params.head_phi_w)),
                                 params.head_phi_b))
-    if single:
-        raw_p = ad.reshape(raw_p, (params.dims[0],))
-        raw_phi = ad.reshape(raw_phi, (params.dims[1],))
     return raw_p, raw_phi, stats
-
-
-def forward(params: MLPParams, x, mode="train"):
-    """Network outputs before feasibility mapping, both in (0, 1)."""
-    raw_p, raw_phi, _ = _forward(params, x, mode)
-    return raw_p, raw_phi
 
 
 def _sigmoid_np(x):
@@ -218,7 +181,8 @@ def _sigmoid_np(x):
 
 
 def _infer_numpy(params: MLPParams, x):
-    """Tape-free inference forward pass, used on the timing path."""
+    """Inference forward pass with the running batchnorm statistics; no
+    tape. Takes one input vector or a (batch, a1) stack."""
     d = np.asarray(x, dtype=np.float64)
     single = d.ndim == 1
     if single:
@@ -262,7 +226,7 @@ def normalize_outputs_graph(raw_p, raw_phi, p_max):
 
 def _loss_with_stats(params: MLPParams, batch: tm.ChannelBatch):
     x = vectorize_batch(batch)
-    raw_p, raw_phi, stats = _forward(params, x, "train")
+    raw_p, raw_phi, stats = _forward(params, x)
     p, phi = normalize_outputs_graph(raw_p, raw_phi, batch.p_max)
     objective = tm.weighted_sum_rate_graph(batch, p, phi)
     return ad.neg(ad.tmean(objective)), stats
@@ -420,18 +384,18 @@ class InferResult:
 
 
 def infer(params: MLPParams, channels: tm.ChannelSet) -> InferResult:
-    """One inference pass: forward, feasibility mapping, MMSE recovery."""
+    """One inference pass: forward, feasibility mapping, MMSE recovery.
+
+    The rates and the unit directions conj(t_i) / |t_i| come from one
+    evaluation of the transmit objective's forward pass.
+    """
     raw_p, raw_phi = _infer_numpy(params, vectorize_input(channels))
     power, phases = normalize_outputs(raw_p, raw_phi, channels.p_max)
-    G = tm.build_G(channels, phases)
-    w_bar = tm.mmse_directions(G, channels.sigma2)
-    beamformers = tm.recover_beamformers(power, w_bar)
-    c = G @ w_bar.T
-    s = np.abs(c) ** 2 * power.p[None, :]
-    own = np.diagonal(s).copy()
-    rates = np.log2(1.0 + own / (s.sum(axis=1) - own + channels.sigma2))
+    fw = tm._wsr_forward(channels, power.p, phases.phi)
+    directions = np.conj(fw.T) / np.sqrt(fw.q)[:, None]
+    beamformers = tm.recover_beamformers(power, directions)
     return InferResult(power=power, phases=phases, beamformers=beamformers,
-                       rates=rates)
+                       rates=fw.rates)
 
 
 # --- checkpoints --------------------------------------------------------------------

@@ -11,10 +11,10 @@ vector, g_k the direct transmitter-to-user vector, and phi the per-element
 phase shifts. Beamformers factor into a power split p (on the simplex
 scaled to the budget) and unit-norm MMSE directions recomputed from the
 stacked rows. This module provides the typed containers, the channel
-sampler, the rate expressions in both the full-beamformer and the
-power-plus-direction form, the closed-form objective gradient used by the
-baseline optimizer, a batched differentiable evaluation used by the
-learning optimizer, and the dataset file format.
+sampler, the full-beamformer rate as an independent oracle, the
+power-plus-direction objective written once (a forward batched over a
+leading sample axis and its closed-form backward, shared by the baseline
+optimizer, the training loss and inference), and the dataset file format.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -289,63 +290,92 @@ def rate(channels: ChannelSet, k: int, beamformers: BeamformerSet, phi) -> float
     return float(np.log2(1.0 + own / (interference + channels.sigma2[k])))
 
 
+def _herm(x) -> np.ndarray:
+    return np.conj(np.swapaxes(x, -1, -2))
+
+
+class _Forward(NamedTuple):
+    """Intermediates of one objective evaluation, kept for the backward."""
+
+    u: np.ndarray      # conj(h) e^{j phi}, (..., K, N)
+    F: np.ndarray      # stacked rows f_k, (..., K, NT)
+    A: np.ndarray      # F F^H + diag(sigma2), (..., K, K)
+    T: np.ndarray      # A^{-1} F; direction i is conj(t_i) / |t_i|
+    d: np.ndarray      # F T^H, d[k, i] = f_k . conj(t_i)
+    q: np.ndarray      # |t_i|^2, (..., K)
+    gain: np.ndarray   # |f_k . w_bar_i|^2 = |d[k, i]|^2 / q_i
+    own: np.ndarray    # p_k gain[k, k]
+    den: np.ndarray    # interference plus noise of user k
+    rates: np.ndarray  # log2(1 + own / den), (..., K)
+
+
+def _wsr_forward(channels, p, phi) -> _Forward:
+    """The objective's forward pass, batched over any leading sample axes.
+
+    channels is a ChannelSet (no sample axis) or a ChannelBatch (one), with
+    p of shape (..., K) and phi of shape (..., N) to match. The rates, the
+    AO objective and its gradient, the training loss and policy.infer all
+    evaluate the objective here; rate() stays an independent oracle.
+    """
+    u = np.conj(channels.h) * np.exp(1j * phi)[..., None, :]
+    F = np.conj(channels.g) + u @ channels.H
+    k = F.shape[-2]
+    A = F @ _herm(F) + channels.sigma2[..., None] * np.eye(k)
+    T = clinalg.solve_hpd(A, F)
+    d = F @ _herm(T)
+    q = np.sum(T.real ** 2 + T.imag ** 2, axis=-1)
+    if np.any(q == 0.0):
+        raise ValueError("degenerate channel rows give zero MMSE directions")
+    gain = (d.real ** 2 + d.imag ** 2) / q[..., None, :]
+    contrib = gain * p[..., None, :]
+    own = np.diagonal(contrib, axis1=-2, axis2=-1)
+    den = np.sum(contrib * (1.0 - np.eye(k)), axis=-1) + channels.sigma2
+    rates = np.log2(1.0 + own / den)
+    return _Forward(u, F, A, T, d, q, gain, own, den, rates)
+
+
+def _wsr_backward(channels, fw: _Forward, p):
+    """Gradients (d/dp, d/dphi) of each sample's weighted sum rate.
+
+    A hand-written reverse pass through _wsr_forward. The solve adjoint is
+    U = A^{-1} Tbar, Abar = -U T^H and Fbar += U + (Abar + Abar^H) F,
+    which costs one more solve with A.
+    """
+    k = fw.F.shape[-2]
+    off = 1.0 - np.eye(k)
+    weight = channels.user_weight[..., :, None]
+    # rate_k = log2(den_k + own_k) - log2(den_k)
+    cbar = (weight / (fw.den + fw.own)[..., :, None]
+            - (weight / fw.den[..., :, None]) * off)
+    cbar /= _LN2
+    gp = np.sum(cbar * fw.gain, axis=-2)
+    gain_bar = cbar * p[..., None, :]
+    dbar = (2.0 * gain_bar / fw.q[..., None, :]) * fw.d
+    qbar = -np.sum(gain_bar * fw.gain, axis=-2) / fw.q
+    Tbar = _herm(dbar) @ fw.F + (2.0 * qbar)[..., None] * fw.T
+    U = clinalg.solve_hpd(fw.A, Tbar)
+    Abar = -U @ _herm(fw.T)
+    Fbar = dbar @ fw.T + U + (Abar + _herm(Abar)) @ fw.F
+    ubar = Fbar @ _herm(channels.H)
+    gphi = np.sum(ubar * np.conj(fw.u), axis=-2).imag
+    return gp, gphi
+
+
 def user_rates(channels: ChannelSet, p, phi) -> np.ndarray:
     """Per-user rates with MMSE directions recomputed at the given phases."""
-    p_arr = _power_array(p)
-    G = build_G(channels, phi)
-    w_bar = mmse_directions(G, channels.sigma2)
-    c = G @ w_bar.T  # c[k, i] = f_k . w_bar_i
-    s = np.abs(c) ** 2 * p_arr[None, :]
-    own = np.diagonal(s).copy()
-    interference = s.sum(axis=1) - own
-    return np.log2(1.0 + own / (interference + channels.sigma2))
+    return _wsr_forward(channels, _power_array(p), _phase_array(phi)).rates
 
 
 def weighted_sum_rate(channels: ChannelSet, p, phi) -> float:
     """The scalar objective: weights dotted with the per-user rates."""
-    return float(channels.user_weight @ user_rates(channels, p, phi))
+    return float(np.sum(channels.user_weight * user_rates(channels, p, phi)))
 
 
 def weighted_sum_rate_grads(channels: ChannelSet, p, phi):
-    """Exact gradients (d/dp, d/dphi) of weighted_sum_rate at (p, phi).
-
-    A hand-written reverse pass in complex numpy, for one sample without a
-    tape. Forward: F = conj(g) + u @ H with u = conj(h) e^{j phi},
-    A = F F^H + diag(sigma2), T = A^{-1} F, d = F T^H, q_i = |t_i|^2 and
-    gain = |d|^2 / q. Backward uses the solve adjoint that
-    autodiff.solve_hpd_pair encodes: U = A^{-1} Tbar, Abar = -U T^H and
-    Fbar += U + (Abar + Abar^H) F, which costs one more solve with A.
-    """
+    """Exact gradients (d/dp, d/dphi) of weighted_sum_rate at (p, phi)."""
     p_arr = _power_array(p)
-    phi_arr = _phase_array(phi)
-    sigma2, weight = channels.sigma2, channels.user_weight
-    k = channels.K
-    u = np.conj(channels.h) * np.exp(1j * phi_arr)
-    F = np.conj(channels.g) + u @ channels.H
-    A = F @ F.conj().T + np.diag(sigma2)
-    T = clinalg.solve_hpd(A, F)
-    d = F @ T.conj().T
-    q = np.sum(T.real ** 2 + T.imag ** 2, axis=1)
-    gain = (d.real ** 2 + d.imag ** 2) / q
-    contrib = gain * p_arr  # contrib[k, i] = p_i |f_k . w_bar_i|^2
-    off = 1.0 - np.eye(k)
-    den = np.sum(contrib * off, axis=1) + sigma2
-    total = den + np.diagonal(contrib)
-
-    # rate_k = log2(total_k) - log2(den_k)
-    cbar = (weight / total)[:, None] - (weight / den)[:, None] * off
-    cbar /= _LN2
-    gp = np.sum(cbar * gain, axis=0)
-    gain_bar = cbar * p_arr
-    dbar = (2.0 * gain_bar / q) * d
-    qbar = -np.sum(gain_bar * gain, axis=0) / q
-    Tbar = dbar.conj().T @ F + (2.0 * qbar)[:, None] * T
-    U = clinalg.solve_hpd(A, Tbar)
-    Abar = -U @ T.conj().T
-    Fbar = dbar @ T + U + (Abar + Abar.conj().T) @ F
-    ubar = Fbar @ channels.H.conj().T
-    gphi = np.sum(ubar * np.conj(u), axis=0).imag
-    return gp, gphi
+    fw = _wsr_forward(channels, p_arr, _phase_array(phi))
+    return _wsr_backward(channels, fw, p_arr)
 
 
 # --- batched containers -------------------------------------------------------------
@@ -379,8 +409,16 @@ class ChannelBatch:
             raise ValueError("batch array shapes are inconsistent")
         if sigma2.shape != (s, k) or weight.shape != (s, k):
             raise ValueError("sigma2 and user_weight must be (S, K)")
+        for name, arr in (("H", H), ("h", h), ("g", g), ("sigma2", sigma2),
+                          ("user_weight", weight)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} has non-finite entries")
+        if np.any(sigma2 <= 0.0):
+            raise ValueError("sigma2 must be positive")
+        if np.any(weight < 0.0) or np.any(weight.sum(axis=1) <= 0.0):
+            raise ValueError("user weights must be nonnegative with positive sum")
         p_max = float(self.p_max)
-        if p_max <= 0.0:
+        if not np.isfinite(p_max) or p_max <= 0.0:
             raise ValueError("p_max must be positive")
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "h", h)
@@ -435,9 +473,9 @@ def weighted_sum_rate_graph(batch: ChannelBatch, p, phi) -> ad.Tensor:
     """Differentiable weighted sum rate over a batch, shape (S,).
 
     p is an (S, K) Tensor of powers and phi an (S, N) Tensor of phases;
-    the channel arrays enter as constants. The evaluation mirrors
-    weighted_sum_rate sample by sample: same cascade, same regularized
-    solve for the MMSE directions, same rate expression.
+    the channel arrays enter as constants. One tape node: the value is
+    weighted_sum_rate sample by sample, and the backward scales each
+    sample's closed-form gradient by its upstream gradient.
     """
     p = ad.as_tensor(p)
     phi = ad.as_tensor(phi)
@@ -446,42 +484,16 @@ def weighted_sum_rate_graph(batch: ChannelBatch, p, phi) -> ad.Tensor:
         raise ValueError(f"p must have shape {(s, k)}, got {p.data.shape}")
     if phi.data.shape != (s, n):
         raise ValueError(f"phi must have shape {(s, n)}, got {phi.data.shape}")
+    fw = _wsr_forward(batch, p.data, phi.data)
+    out = ad.Tensor(np.sum(batch.user_weight * fw.rates, axis=-1), (p, phi))
 
-    rphi = ad.reshape(phi, (s, 1, n))
-    cphi, sphi = ad.cos(rphi), ad.sin(rphi)
-    hr, hi = batch.h.real, batch.h.imag
+    def _bw(g):
+        gp, gphi = _wsr_backward(batch, fw, p.data)
+        p._accum(g[:, None] * gp)
+        phi._accum(g[:, None] * gphi)
 
-    # u = conj(h) * e^{j phi}, broadcast over users
-    ur = ad.add(ad.mul(hr, cphi), ad.mul(hi, sphi))
-    ui = ad.sub(ad.mul(hr, sphi), ad.mul(hi, cphi))
-
-    # f = conj(g) + u @ H
-    vr, vi = ad.complex_matmul_pair((ur, ui), (batch.H.real, batch.H.imag))
-    fr = ad.add(vr, batch.g.real)
-    fi = ad.sub(vi, batch.g.imag)
-
-    # A = F F^H + diag(sigma2), then T = A^{-1} F
-    ar, ai = ad.complex_matmul_pair(
-        (fr, fi), (ad.transpose_last2(fr), ad.neg(ad.transpose_last2(fi))))
-    diag = np.zeros((s, k, k))
-    diag[:, np.arange(k), np.arange(k)] = batch.sigma2
-    tr, ti = ad.solve_hpd_pair(ad.add(ar, diag), ai, fr, fi)
-
-    # d[k, i] = f_k . conj(t_i); directions are conj(t_i)/|t_i|, so the
-    # squared magnitudes get divided by q_i = |t_i|^2
-    dr, di = ad.complex_matmul_pair(
-        (fr, fi), (ad.transpose_last2(tr), ad.neg(ad.transpose_last2(ti))))
-    mag2 = ad.magnitude_squared_pair(dr, di)
-    q = ad.add(ad.tsum(ad.mul(tr, tr), axis=-1), ad.tsum(ad.mul(ti, ti), axis=-1))
-    gain = ad.mul(mag2, ad.reciprocal(ad.reshape(q, (s, 1, k))))
-
-    contrib = ad.mul(gain, ad.reshape(p, (s, 1, k)))  # p_i |f_k . w_bar_i|^2
-    own = ad.diagonal_last2(contrib)
-    off_mask = 1.0 - np.eye(k)
-    interference = ad.tsum(ad.mul(contrib, off_mask), axis=-1)
-    den = ad.add(interference, batch.sigma2)
-    rates = ad.sub(ad.log2(ad.add(den, own)), ad.log2(den))
-    return ad.tsum(ad.mul(rates, batch.user_weight), axis=-1)
+    out._backward = _bw
+    return out
 
 
 # --- dataset file format ------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Autodiff engine tests: every op's VJP against central finite differences,
-plus the solve adjoint identity and composition checks."""
+plus composition checks."""
 
 import math
 
@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from ris_lab import autodiff as ad
-from ris_lab.clinalg import solve_hpd
 
 
 def _scalarize(t, c):
@@ -25,32 +24,11 @@ def test_sigmoid_derivative_at_zero():
     assert float(x.grad) == pytest.approx(0.25, abs=1e-15)
 
 
-def test_log2_derivative_at_one():
-    x = ad.Tensor(1.0)
-    y = ad.log2(x)
-    y.backward()
-    assert float(x.grad) == pytest.approx(1.0 / math.log(2.0), rel=1e-14)
-
-
 def test_sum_of_squares_gradient():
     x = ad.Tensor([1.0, 2.0, 3.0])
     loss = ad.tsum(ad.mul(x, x))
     loss.backward()
     assert np.allclose(x.grad, [2.0, 4.0, 6.0])
-
-
-def test_solve_1x1_gradient():
-    # d(b/m)/dm = -b/m^2
-    m, b = 4.0, 3.0
-    mr = ad.Tensor([[m]])
-    mi = ad.Tensor([[0.0]])
-    br = ad.Tensor([[b]])
-    bi = ad.Tensor([[0.0]])
-    xr, xi = ad.solve_hpd_pair(mr, mi, br, bi)
-    ad.tsum(xr).backward()
-    assert xr.data.item() == pytest.approx(b / m)
-    assert mr.grad.item() == pytest.approx(-b / m ** 2, rel=1e-12)
-    assert br.grad.item() == pytest.approx(1.0 / m, rel=1e-12)
 
 
 def test_reused_node_accumulates_once_per_path():
@@ -67,8 +45,6 @@ def test_backward_rejects_non_scalar():
 
 
 def test_domain_errors():
-    with pytest.raises(ValueError):
-        ad.log2(ad.Tensor([1.0, -1.0]))
     with pytest.raises(ValueError):
         ad.reciprocal(ad.Tensor([0.0]))
     with pytest.raises(ValueError):
@@ -90,36 +66,18 @@ def _op_cases(rng):
     c24 = rng.standard_normal((2, 4))
     c3 = rng.standard_normal(3)
     c4 = rng.standard_normal(4)
-    c23 = rng.standard_normal((2, 3))
     c63 = rng.standard_normal((6, 3))
     pos = lambda shape: rng.uniform(0.5, 2.0, shape)
     sym = lambda shape: np.where(np.abs(z := rng.standard_normal(shape)) < 0.05, z + 0.1, z)
-
-    g = rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5))
-    herm_c = rng.standard_normal((2, 2))
-
-    def solve_case(gr, gi, d):
-        # M = G G^H + diag(d): Hermitian by construction, as in the MMSE chain
-        G = (gr, gi)
-        Gh = (ad.transpose_last2(gr), ad.neg(ad.transpose_last2(gi)))
-        ar, ai = ad.complex_matmul_pair(G, Gh)
-        ar = ad.add(ar, ad.mul(ad.Tensor(np.eye(2)), d))
-        xr, xi = ad.solve_hpd_pair(ar, ai, gr, gi)
-        return ad.add(_scalarize(xr, herm_c[0][:, None]), _scalarize(xi, herm_c[1][:, None]))
 
     cases = [
         ("add", lambda a, b: _scalarize(ad.add(a, b), c1), [sym((2, 3)), sym((2, 3))]),
         ("add_broadcast", lambda a, b: _scalarize(ad.add(a, b), c2), [sym((2, 1, 4)), sym((3, 1))]),
         ("sub", lambda a, b: _scalarize(ad.sub(a, b), c1), [sym((2, 3)), sym((1, 3))]),
         ("mul", lambda a, b: _scalarize(ad.mul(a, b), c1), [sym((2, 3)), sym((2, 3))]),
-        ("div", lambda a, b: _scalarize(ad.div(a, b), c1), [sym((2, 3)), pos((2, 3))]),
         ("neg", lambda a: _scalarize(ad.neg(a), c1), [sym((2, 3))]),
         ("reciprocal", lambda a: _scalarize(ad.reciprocal(a), c1), [pos((2, 3))]),
-        ("log2", lambda a: _scalarize(ad.log2(a), c1), [pos((2, 3))]),
         ("sqrt", lambda a: _scalarize(ad.sqrt(a), c1), [pos((2, 3))]),
-        ("exp", lambda a: _scalarize(ad.exp(a), c1), [sym((2, 3))]),
-        ("cos", lambda a: _scalarize(ad.cos(a), c1), [sym((2, 3))]),
-        ("sin", lambda a: _scalarize(ad.sin(a), c1), [sym((2, 3))]),
         ("relu", lambda a: _scalarize(ad.relu(a), c1), [sym((2, 3))]),
         ("sigmoid", lambda a: _scalarize(ad.sigmoid(a), c1), [3.0 * sym((2, 3))]),
         ("softmax", lambda a: _scalarize(ad.softmax(a, axis=-1), c1), [2.0 * sym((2, 3))]),
@@ -131,22 +89,9 @@ def _op_cases(rng):
         ("reshape", lambda a: _scalarize(ad.reshape(a, (3, 2)), c1.T), [sym((2, 3))]),
         ("sum_axis", lambda a: _scalarize(ad.tsum(a, axis=0), c3), [sym((4, 3))]),
         ("mean_axis", lambda a: _scalarize(ad.tmean(a, axis=1), c4), [sym((4, 3))]),
-        ("diagonal_last2", lambda a: _scalarize(ad.diagonal_last2(a), c23),
-         [sym((2, 3, 3))]),
-        ("complex_mul_pair",
-         lambda ar, ai, br, bi: _scalarize(ad.add(*ad.complex_mul_pair(ar, ai, br, bi)), c1),
-         [sym((2, 3)) for _ in range(4)]),
-        ("magnitude_squared_pair",
-         lambda ar, ai: _scalarize(ad.magnitude_squared_pair(ar, ai), c1),
-         [sym((2, 3)), sym((2, 3))]),
-        ("complex_matmul_pair",
-         lambda ar, ai, br, bi: _scalarize(
-             ad.add(*ad.complex_matmul_pair((ar, ai), (br, bi))), c24),
-         [sym((2, 3)), sym((2, 3)), sym((3, 4)), sym((3, 4))]),
         ("batchnorm_train",
          lambda x, gm, bt: _scalarize(ad.batchnorm_train(x, gm, bt)[0], c63),
          [rng.standard_normal((6, 3)), pos(3), sym(3)]),
-        ("solve_hpd_pair", solve_case, [g.real, g.imag, pos(2) + 1.0]),
     ]
     return cases
 
@@ -163,16 +108,17 @@ def test_every_op_vjp_matches_finite_differences():
 
 
 def test_chain_rule_composition():
-    # f(g(x)) with g = exp, f = log2(1 + y^2): compare against the product form
+    # f(g(x)) with g = sigmoid, f = sqrt(1 + y^2): compare against the
+    # product form
     rng = np.random.default_rng(33)
     for _ in range(20):
         x0 = float(rng.uniform(-1.0, 1.0))
         x = ad.Tensor(x0)
-        y = ad.exp(x)
-        z = ad.log2(ad.add(ad.mul(y, y), 1.0))
+        y = ad.sigmoid(x)
+        z = ad.sqrt(ad.add(ad.mul(y, y), 1.0))
         z.backward()
-        y0 = math.exp(x0)
-        manual = (2.0 * y0 / ((1.0 + y0 * y0) * math.log(2.0))) * y0
+        y0 = 1.0 / (1.0 + math.exp(-x0))
+        manual = (y0 / math.sqrt(1.0 + y0 * y0)) * y0 * (1.0 - y0)
         assert float(x.grad) == pytest.approx(manual, rel=1e-10)
 
 
@@ -191,24 +137,6 @@ def test_two_layer_relu_net_gradient():
     assert report.passed, str(report)
 
 
-def test_solve_adjoint_identity():
-    # for X = M^{-1} (B = I) with real symmetric PD M and upstream C:
-    # dL/dM must equal -X^T C X^T (real-pair representation, imag parts zero)
-    rng = np.random.default_rng(55)
-    for _ in range(10):
-        a = rng.standard_normal((3, 3))
-        m = a @ a.T + 3.0 * np.eye(3)
-        c = rng.standard_normal((3, 3))
-        mr = ad.Tensor(m)
-        mi = ad.Tensor(np.zeros((3, 3)))
-        xr, xi = ad.solve_hpd_pair(mr, mi, ad.Tensor(np.eye(3)), ad.Tensor(np.zeros((3, 3))))
-        _scalarize(xr, c).backward()
-        x = solve_hpd(m, np.eye(3)).real
-        expect = -x.T @ c @ x.T
-        assert np.max(np.abs(mr.grad - expect)) < 1e-10 * np.max(np.abs(expect))
-        assert np.max(np.abs(mi.grad)) < 1e-10  # symmetric real M, imag adjoint vanishes by symmetry of the construction
-
-
 def test_batchnorm_statistics_and_infer_consistency():
     rng = np.random.default_rng(66)
     x = rng.standard_normal((8, 5))
@@ -216,9 +144,10 @@ def test_batchnorm_statistics_and_infer_consistency():
     y, mu, var = ad.batchnorm_train(ad.Tensor(x), gamma, beta)
     assert mu == pytest.approx(x.mean(axis=0))
     assert var == pytest.approx(x.var(axis=0))
-    # inference with running stats set to the batch stats reproduces train output
-    y2 = ad.batchnorm_infer(ad.Tensor(x), gamma, beta, mu, var)
-    assert np.max(np.abs(y.data - y2.data)) < 1e-10
+    # normalizing with the returned statistics frozen, as inference does,
+    # reproduces the train output
+    y2 = (x - mu) / np.sqrt(var + 1e-5) * gamma.data + beta.data
+    assert np.max(np.abs(y.data - y2)) < 1e-10
 
 
 def test_broadcast_unbroadcast_shapes():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -195,6 +196,30 @@ def test_train_missing_dataset_exits_2(workdir, capsys):
     save_config("run.json", small_config())
     assert cli.main(["train", "--config", "run.json"]) == 2
     assert "train.risd" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("column,value,message", [
+    (0, np.nan, "H has non-finite entries"),
+    ("sigma2", -1.0, "sigma2 must be positive"),
+])
+def test_train_rejects_corrupt_dataset_values(workdir, capsys, column, value,
+                                              message):
+    # a dataset whose bytes parse but whose values are unusable: one
+    # sample's first H entry, or its first noise power, is overwritten
+    save_config("run.json", small_config())
+    assert cli.main(["gen-data", "--config", "run.json", "--role", "train"]) == 0
+    path = workdir / "train.risd"
+    raw = bytearray(path.read_bytes())
+    k, n, nt, s = struct.unpack("<IIII", raw[8:24])
+    block = np.frombuffer(raw, dtype="<f8", offset=24).reshape(s, -1).copy()
+    if column == "sigma2":
+        column = 2 * (n * nt + k * n + k * nt)
+    block[3, column] = value
+    path.write_bytes(bytes(raw[:24]) + block.tobytes())
+    capsys.readouterr()
+    assert cli.main(["train", "--config", "run.json"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
 
 
 def test_checkpoint_written_with_loss_log(pipeline):

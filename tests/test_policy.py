@@ -48,12 +48,12 @@ def test_vectorize_layout():
 def test_vectorize_round_trip():
     rng = np.random.default_rng(3)
     ch = make_channels(rng, k=2, n=3, nt=4, p_max=2.0, weights=[1.0, 0.5])
-    back = pl.devectorize(pl.vectorize_input(ch), (2, 3, 4), sigma2=ch.sigma2,
-                          user_weight=ch.user_weight, p_max=2.0)
-    assert np.array_equal(back.H, ch.H)
-    assert np.array_equal(back.h, ch.h)
-    assert np.array_equal(back.g, ch.g)
-    assert back.p_max == ch.p_max
+    vec = pl.vectorize_input(ch)
+    assert vec.shape == (pl.input_width((2, 3, 4)),)
+    cplx = vec.view(np.complex128)
+    assert np.array_equal(cplx[:12].reshape(3, 4), ch.H)
+    assert np.array_equal(cplx[12:18].reshape(2, 3), ch.h)
+    assert np.array_equal(cplx[18:].reshape(2, 4), ch.g)
 
 
 def test_vectorize_batch_rows_match_single():
@@ -65,73 +65,58 @@ def test_vectorize_batch_rows_match_single():
         assert np.array_equal(rows[i], pl.vectorize_input(ch))
 
 
-def test_devectorize_rejects_wrong_length():
-    with pytest.raises(ValueError):
-        pl.devectorize(np.zeros(7), (1, 1, 1))
-
-
 # --- forward passes -----------------------------------------------------------------
 
 def test_zeroed_network_outputs_half():
     rng = np.random.default_rng(7)
     params = zeroed_params((2, 3, 4), (8, 6), rng)
     x = rng.standard_normal((5, params.a1))
-    for mode in ("train", "infer"):
-        raw_p, raw_phi = pl.forward(params, x, mode)
-        assert np.all(raw_p.data == 0.5)
-        assert np.all(raw_phi.data == 0.5)
+    raw_p, raw_phi, _ = pl._forward(params, x)
+    for out in (raw_p.data, raw_phi.data, *pl._infer_numpy(params, x)):
+        assert np.all(out == 0.5)
 
 
 def test_forward_outputs_stay_in_unit_interval():
     rng = np.random.default_rng(11)
     params = pl.init_params((2, 3, 4), (32, 16), rng)
     x = 3.0 * rng.standard_normal((1000, params.a1))
-    for mode in ("train", "infer"):
-        raw_p, raw_phi = pl.forward(params, x, mode)
-        for out in (raw_p.data, raw_phi.data):
-            assert np.all(out > 0.0) and np.all(out < 1.0)
+    raw_p, raw_phi, _ = pl._forward(params, x)
+    for out in (raw_p.data, raw_phi.data, *pl._infer_numpy(params, x)):
+        assert np.all(out > 0.0) and np.all(out < 1.0)
 
 
 def test_forward_modes_agree_when_stats_frozen():
+    # the taped training pass and the tape-free inference pass agree once
+    # the running statistics equal the batch statistics
     rng = np.random.default_rng(13)
     params = pl.init_params((2, 3, 4), (16, 8), rng)
     x = rng.standard_normal((32, params.a1))
-    raw_p, raw_phi, stats = pl._forward(params, x, "train")
+    raw_p, raw_phi, stats = pl._forward(params, x)
     for g, (mu, var) in enumerate(stats):
         params.bn_mean[g] = mu
         params.bn_var[g] = var
-    inf_p, inf_phi = pl.forward(params, x, "infer")
-    assert np.max(np.abs(raw_p.data - inf_p.data)) < 1e-10
-    assert np.max(np.abs(raw_phi.data - inf_phi.data)) < 1e-10
+    inf_p, inf_phi = pl._infer_numpy(params, x)
+    assert np.max(np.abs(raw_p.data - inf_p)) < 1e-10
+    assert np.max(np.abs(raw_phi.data - inf_phi)) < 1e-10
 
 
 def test_forward_single_vector_shapes():
     rng = np.random.default_rng(17)
     params = pl.init_params((2, 3, 4), (8,), rng)
-    raw_p, raw_phi = pl.forward(params, rng.standard_normal(params.a1), "infer")
-    assert raw_p.data.shape == (2,)
-    assert raw_phi.data.shape == (3,)
+    raw_p, raw_phi = pl._infer_numpy(params, rng.standard_normal(params.a1))
+    assert raw_p.shape == (2,)
+    assert raw_phi.shape == (3,)
 
 
 def test_forward_rejects_bad_input():
     rng = np.random.default_rng(19)
     params = pl.init_params((1, 2, 2), (4,), rng)
     with pytest.raises(ValueError):
-        pl.forward(params, np.zeros(params.a1 + 1))
+        pl._forward(params, np.zeros((3, params.a1 + 1)))
     with pytest.raises(ValueError):
-        pl.forward(params, np.zeros(params.a1), mode="test")
-
-
-def test_tape_free_inference_matches_taped_forward():
-    rng = np.random.default_rng(23)
-    params = pl.init_params((3, 4, 5), (16, 8), rng)
-    params.bn_mean = [rng.standard_normal(w) * 0.1 for w in (16, 8)]
-    params.bn_var = [rng.uniform(0.5, 2.0, w) for w in (16, 8)]
-    x = rng.standard_normal((10, params.a1))
-    fast_p, fast_phi = pl._infer_numpy(params, x)
-    taped_p, taped_phi = pl.forward(params, x, "infer")
-    assert np.max(np.abs(fast_p - taped_p.data)) < 1e-12
-    assert np.max(np.abs(fast_phi - taped_phi.data)) < 1e-12
+        pl._forward(params, np.zeros(params.a1))  # training takes a batch
+    with pytest.raises(ValueError):
+        pl._infer_numpy(params, np.zeros(params.a1 + 1))
 
 
 # --- feasibility mapping ------------------------------------------------------------
@@ -176,7 +161,7 @@ def test_loss_single_user_single_sample():
     batch = tm.ChannelBatch.from_sets([ch])
     params = pl.init_params((1, 2, 2), (8,), rng)
     value = pl.loss(params, batch)
-    raw_p, raw_phi, _ = pl._forward(params, pl.vectorize_batch(batch), "train")
+    raw_p, raw_phi, _ = pl._forward(params, pl.vectorize_batch(batch))
     power, phases = pl.normalize_outputs(raw_p.data[0], raw_phi.data[0], ch.p_max)
     want = -tm.weighted_sum_rate(ch, power, phases)
     assert value.data.item() == pytest.approx(want, abs=1e-10)
@@ -189,7 +174,7 @@ def test_loss_matches_mean_objective():
     batch = tm.ChannelBatch.from_sets(sets)
     params = pl.init_params((3, 3, 4), (16, 8), rng)
     value = pl.loss(params, batch)
-    raw_p, raw_phi, _ = pl._forward(params, pl.vectorize_batch(batch), "train")
+    raw_p, raw_phi, _ = pl._forward(params, pl.vectorize_batch(batch))
     rates = []
     for i, ch in enumerate(sets):
         power, phases = pl.normalize_outputs(raw_p.data[i], raw_phi.data[i],

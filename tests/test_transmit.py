@@ -357,14 +357,6 @@ def test_graph_gradient_matches_finite_differences():
 
 # --- closed-form gradient -----------------------------------------------------------
 
-def tape_grads(channels, p, phi):
-    """Gradients of the taped objective on a batch of one."""
-    pt, ft = ad.Tensor(p[None, :].copy()), ad.Tensor(phi[None, :].copy())
-    batch = tm.ChannelBatch.from_sets([channels])
-    ad.tsum(tm.weighted_sum_rate_graph(batch, pt, ft)).backward()
-    return pt.grad[0], ft.grad[0]
-
-
 def random_point(rng, k, n, nt):
     ch = tm.sample_channels(1.0, np.ones(k), np.ones(k), (n, nt), rng, eta=0.0,
                             sigma2=rng.uniform(0.05, 2.0, k),
@@ -379,35 +371,50 @@ def rel_gap(got, want):
 @pytest.mark.parametrize("k,n,nt", [(1, 1, 1), (1, 3, 2), (2, 3, 3), (3, 4, 2),
                                     (4, 8, 8), (5, 2, 3)])
 def test_grads_match_tape(k, n, nt):
+    # the batched tape node against per-sample calls: values, and gradients
+    # scaled by each sample's upstream weight
     rng = np.random.default_rng(1000 + 100 * k + 10 * n + nt)
-    for _ in range(4):
-        ch, p, phi = random_point(rng, k, n, nt)
+    points = [random_point(rng, k, n, nt) for _ in range(4)]
+    batch = tm.ChannelBatch.from_sets([ch for ch, _, _ in points])
+    pt = ad.Tensor(np.stack([p for _, p, _ in points]))
+    ft = ad.Tensor(np.stack([phi for _, _, phi in points]))
+    upstream = rng.uniform(0.5, 2.0, 4)
+    out = tm.weighted_sum_rate_graph(batch, pt, ft)
+    ad.tsum(ad.mul(out, upstream)).backward()
+    for i, (ch, p, phi) in enumerate(points):
+        assert out.data[i] == pytest.approx(tm.weighted_sum_rate(ch, p, phi),
+                                            rel=1e-13)
         gp, gphi = tm.weighted_sum_rate_grads(ch, p, phi)
-        tp, tphi = tape_grads(ch, p, phi)
         assert gp.shape == (k,) and gphi.shape == (n,)
-        assert rel_gap(gp, tp) <= 1e-12
-        assert rel_gap(gphi, tphi) <= 1e-12
+        assert rel_gap(pt.grad[i], upstream[i] * gp) <= 1e-12
+        assert rel_gap(ft.grad[i], upstream[i] * gphi) <= 1e-12
 
 
-@pytest.mark.parametrize("k,n,nt", [(1, 2, 2), (3, 4, 2), (2, 3, 5)])
+@pytest.mark.parametrize("k,n,nt", [(1, 1, 1), (1, 2, 2), (1, 3, 2), (2, 3, 3),
+                                    (2, 3, 5), (3, 4, 2), (4, 8, 8), (5, 2, 3)])
 def test_grads_match_finite_differences(k, n, nt):
+    # fourth-order central differences: truncation error O(h^4) and
+    # rounding error about eps |f| / h, both far below the tolerance
     rng = np.random.default_rng(2000 + 100 * k + 10 * n + nt)
-    ch, p, phi = random_point(rng, k, n, nt)
-    gp, gphi = tm.weighted_sum_rate_grads(ch, p, phi)
-    step = 1e-6
+    step = 3e-4
 
     def central(x, i, f):
-        up, down = x.copy(), x.copy()
-        up[i] += step
-        down[i] -= step
-        return (f(up) - f(down)) / (2 * step)
+        def at(offset):
+            y = x.copy()
+            y[i] += offset * step
+            return f(y)
+        return (8.0 * (at(1) - at(-1)) - (at(2) - at(-2))) / (12.0 * step)
 
-    fd_p = [central(p, i, lambda v: tm.weighted_sum_rate(ch, v, phi))
-            for i in range(k)]
-    fd_phi = [central(phi, i, lambda v: tm.weighted_sum_rate(ch, p, v))
-              for i in range(n)]
-    assert np.allclose(gp, fd_p, rtol=1e-6, atol=1e-8)
-    assert np.allclose(gphi, fd_phi, rtol=1e-6, atol=1e-8)
+    for _ in range(3):
+        ch, p, phi = random_point(rng, k, n, nt)
+        p = 0.5 * p + 0.5 / k  # keep p - 2h nonnegative
+        gp, gphi = tm.weighted_sum_rate_grads(ch, p, phi)
+        fd_p = np.array([central(p, i, lambda v: tm.weighted_sum_rate(ch, v, phi))
+                         for i in range(k)])
+        fd_phi = np.array([central(phi, i, lambda v: tm.weighted_sum_rate(ch, p, v))
+                           for i in range(n)])
+        assert rel_gap(gp, fd_p) <= 1e-9
+        assert rel_gap(gphi, fd_phi) <= 1e-9
 
 
 def test_grads_invariant_under_per_user_phase_rotation():
@@ -424,6 +431,72 @@ def test_grads_invariant_under_per_user_phase_rotation():
     gp2, gphi2 = tm.weighted_sum_rate_grads(turned, p, phi)
     assert rel_gap(gp2, gp) <= 1e-10
     assert rel_gap(gphi2, gphi) <= 1e-10
+
+
+def assert_same_objective(a, b, p, phi, phi_b=None, phi_perm=None):
+    """(a, p, phi) and (b, p, phi_b) have equal rates and gradients, with
+    the phase gradient of b permuted by phi_perm."""
+    phi_b = phi if phi_b is None else phi_b
+    assert rel_gap(tm.user_rates(b, p, phi_b), tm.user_rates(a, p, phi)) <= 1e-12
+    gp, gphi = tm.weighted_sum_rate_grads(a, p, phi)
+    gp2, gphi2 = tm.weighted_sum_rate_grads(b, p, phi_b)
+    assert rel_gap(gp2, gp) <= 1e-10
+    want = gphi if phi_perm is None else gphi[phi_perm]
+    assert rel_gap(gphi2, want) <= 1e-10
+
+
+def test_grads_invariant_under_antenna_permutation():
+    # relabeling transmit antennas permutes the columns of every row f_k,
+    # which leaves F F^H and every |f_k . w_bar_i| unchanged
+    rng = np.random.default_rng(2103)
+    ch, p, phi = random_point(rng, 3, 4, 5)
+    perm = rng.permutation(5)
+    swapped = tm.ChannelSet(H=ch.H[:, perm], h=ch.h, g=ch.g[:, perm],
+                            sigma2=ch.sigma2, user_weight=ch.user_weight,
+                            p_max=ch.p_max)
+    assert_same_objective(ch, swapped, p, phi)
+
+
+def test_grads_follow_an_element_permutation():
+    # relabeling surface elements, together with their phases, leaves the
+    # cascade unchanged and permutes the phase gradient the same way
+    rng = np.random.default_rng(2104)
+    ch, p, phi = random_point(rng, 3, 6, 4)
+    perm = rng.permutation(6)
+    swapped = tm.ChannelSet(H=ch.H[perm], h=ch.h[:, perm], g=ch.g,
+                            sigma2=ch.sigma2, user_weight=ch.user_weight,
+                            p_max=ch.p_max)
+    assert_same_objective(ch, swapped, p, phi, phi_b=phi[perm], phi_perm=perm)
+
+
+def test_grads_invariant_under_channel_and_noise_scaling():
+    # g and H scaled by c scale every row f_k by c; with sigma2 scaled by
+    # c^2 every SINR, and so every rate and gradient, stays the same
+    rng = np.random.default_rng(2105)
+    ch, p, phi = random_point(rng, 4, 3, 5)
+    for c in (0.01, 3.7, 250.0):
+        scaled = tm.ChannelSet(H=c * ch.H, h=ch.h, g=c * ch.g,
+                               sigma2=c * c * ch.sigma2,
+                               user_weight=ch.user_weight, p_max=ch.p_max)
+        assert_same_objective(ch, scaled, p, phi)
+
+
+def test_degenerate_user_row_is_rejected():
+    # h_k = g_k = 0 gives f_k = 0: no MMSE direction exists for user k
+    rng = np.random.default_rng(2106)
+    ch, p, phi = random_point(rng, 3, 4, 3)
+    h, g = ch.h.copy(), ch.g.copy()
+    h[1] = 0.0
+    g[1] = 0.0
+    dead = tm.ChannelSet(H=ch.H, h=h, g=g, sigma2=ch.sigma2,
+                         user_weight=ch.user_weight)
+    with pytest.raises(ValueError, match="degenerate"):
+        tm.mmse_directions(tm.build_G(dead, phi), dead.sigma2)
+    with pytest.raises(ValueError, match="degenerate"):
+        tm.weighted_sum_rate(dead, p, phi)
+    with pytest.raises(ValueError, match="degenerate"):
+        tm.weighted_sum_rate_graph(tm.ChannelBatch.from_sets([ch, dead]),
+                                   np.stack([p, p]), np.stack([phi, phi]))
 
 
 def test_grads_follow_a_user_permutation():
@@ -479,6 +552,36 @@ def test_dataset_rejects_bad_files(tmp_path):
     orphan.write_bytes(data)
     with pytest.raises(ValueError, match="sidecar"):
         tm.load_dataset(orphan)
+
+
+def test_channel_batch_validation():
+    ok = tm.ChannelBatch.from_sets(
+        [random_channels(np.random.default_rng(s), k=2, n=3, nt=4) for s in range(3)])
+    fields = dict(H=ok.H, h=ok.h, g=ok.g, sigma2=ok.sigma2,
+                  user_weight=ok.user_weight)
+
+    def build(**changes):
+        return tm.ChannelBatch(**{**fields, **changes})
+
+    for name in ("H", "h", "g", "sigma2", "user_weight"):
+        bad = fields[name].copy()
+        bad.reshape(-1)[5] = np.nan
+        with pytest.raises(ValueError, match=f"^{name} has non-finite"):
+            build(**{name: bad})
+    sigma2 = ok.sigma2.copy()
+    sigma2[1, 0] = 0.0
+    with pytest.raises(ValueError, match="sigma2 must be positive"):
+        build(sigma2=sigma2)
+    weight = ok.user_weight.copy()
+    weight[2] = 0.0
+    with pytest.raises(ValueError, match="user weights"):
+        build(user_weight=weight)
+    weight[2] = [1.0, -0.5]
+    with pytest.raises(ValueError, match="user weights"):
+        build(user_weight=weight)
+    for p_max in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="p_max"):
+            build(p_max=p_max)
 
 
 def test_channel_batch_sample_and_subset():
