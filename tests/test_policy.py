@@ -100,6 +100,35 @@ def test_forward_modes_agree_when_stats_frozen():
     assert np.max(np.abs(raw_phi.data - inf_phi)) < 1e-10
 
 
+def _taped_infer(params, x):
+    # inference pass rebuilt from tape ops, normalizing with the running stats
+    d = ad.Tensor(x)
+    for g in range(len(params.hidden)):
+        z = ad.add(ad.matmul(d, ad.transpose_last2(params.weights[g])),
+                   params.biases[g])
+        inv_std = ad.reciprocal(ad.sqrt(ad.Tensor(params.bn_var[g] + pl._BN_EPS)))
+        z = ad.add(ad.mul(ad.mul(ad.sub(z, ad.Tensor(params.bn_mean[g])), inv_std),
+                          params.bn_scale[g]), params.bn_shift[g])
+        d = ad.relu(z)
+    raw_p = ad.sigmoid(ad.add(ad.matmul(d, ad.transpose_last2(params.head_p_w)),
+                              params.head_p_b))
+    raw_phi = ad.sigmoid(ad.add(ad.matmul(d, ad.transpose_last2(params.head_phi_w)),
+                                params.head_phi_b))
+    return raw_p, raw_phi
+
+
+def test_tape_free_inference_matches_taped_forward():
+    rng = np.random.default_rng(23)
+    params = pl.init_params((3, 4, 5), (16, 8), rng)
+    params.bn_mean = [rng.standard_normal(w) * 0.1 for w in (16, 8)]
+    params.bn_var = [rng.uniform(0.5, 2.0, w) for w in (16, 8)]
+    x = rng.standard_normal((10, params.a1))
+    fast_p, fast_phi = pl._infer_numpy(params, x)
+    taped_p, taped_phi = _taped_infer(params, x)
+    assert np.max(np.abs(fast_p - taped_p.data)) < 1e-12
+    assert np.max(np.abs(fast_phi - taped_phi.data)) < 1e-12
+
+
 def test_forward_single_vector_shapes():
     rng = np.random.default_rng(17)
     params = pl.init_params((2, 3, 4), (8,), rng)
