@@ -35,15 +35,20 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class Tensor:
-    """Array value plus gradient slot and backward closure."""
+    """Array value plus gradient slot and backward closure.
 
-    __slots__ = ("data", "grad", "_parents", "_backward")
+    version counts in-place updates of data, so that a value derived from
+    it can tell that it is out of date (policy.adam_step bumps it).
+    """
+
+    __slots__ = ("data", "grad", "_parents", "_backward", "version")
 
     def __init__(self, data, _parents=()):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self._parents = _parents
         self._backward = None
+        self.version = 0
 
     @property
     def shape(self):

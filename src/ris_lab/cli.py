@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import baseline, policy
+from . import baseline, fileio, policy
 from .config import RunConfig, config_hash, load_config
 from .datagen import write_dataset
 from .geometry import cascade_pathloss, load_scene, select_ris
@@ -124,9 +124,7 @@ def _vision_select(scene, resolution, half_extent):
 
 
 def _write_json(path, doc) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    fileio.write_files((path, fileio.json_text(doc)))
 
 
 # --- commands ------------------------------------------------------------

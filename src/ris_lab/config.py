@@ -14,6 +14,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
+from . import fileio
 from .baseline import AOConfig
 from .policy import TrainConfig
 from .scenes import SceneGenConfig
@@ -97,9 +98,7 @@ def config_from_dict(doc: dict) -> RunConfig:
 
 
 def save_config(path, config: RunConfig) -> None:
-    with open(path, "w") as fh:
-        json.dump(config_to_dict(config), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    fileio.write_files((path, fileio.json_text(config_to_dict(config))))
 
 
 def load_config(path) -> RunConfig:

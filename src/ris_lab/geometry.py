@@ -18,6 +18,8 @@ import json
 import math
 from dataclasses import dataclass, field
 
+from . import fileio
+
 _EPS = 1e-9
 
 
@@ -320,9 +322,7 @@ def scene_from_dict(doc: dict) -> Scene:
 
 
 def save_scene(path, scene: Scene):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scene_to_dict(scene), fh, indent=2)
-        fh.write("\n")
+    fileio.write_files((path, json.dumps(scene_to_dict(scene), indent=2) + "\n"))
 
 
 def load_scene(path) -> Scene:

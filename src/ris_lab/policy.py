@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from . import fileio
 from . import transmit as tm
 
 log = logging.getLogger(__name__)
@@ -47,6 +48,11 @@ class MLPParams:
     and bias, followed by batch normalization (scale, shift, running mean
     and variance) and ReLU. Two heads map the last hidden width to K power
     logits and N phase fractions.
+
+    Inference caches constants derived from these arrays (see
+    _inference_layers), made again once an array has been replaced or a
+    tensor's version has moved. adam_step updates tensors in place and
+    bumps their versions; any other in-place edit must do the same.
     """
 
     dims: tuple
@@ -61,6 +67,7 @@ class MLPParams:
     head_p_b: ad.Tensor = None
     head_phi_w: ad.Tensor = None
     head_phi_b: ad.Tensor = None
+    _folded: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         k, n, nt = (int(d) for d in self.dims)
@@ -171,32 +178,48 @@ def _forward(params: MLPParams, x):
     return raw_p, raw_phi, stats
 
 
-def _sigmoid_np(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def _inference_layers(params: MLPParams):
+    """The inference network with batchnorm folded into each layer.
+
+    Hidden layer g is relu((x @ weights_g^T) s_g + c_g), the running
+    statistics folded into s_g = scale / sqrt(var + eps) and
+    c_g = (bias - mean) s_g + shift; the two heads are stacked into one
+    (K + N, a) map. The folded vectors are cached on params with the
+    arrays and tensor versions they were made from, and made again once
+    any of those has changed. The weights themselves are not copied.
+    """
+    tensors = param_list(params)
+    versions = tuple(t.version for t in tensors)
+    sources = (tuple(t.data for t in tensors)
+               + tuple(params.bn_mean) + tuple(params.bn_var))
+    cached = params._folded
+    if (cached is not None and cached[0] == versions
+            and len(cached[1]) == len(sources)
+            and all(a is b for a, b in zip(cached[1], sources))):
+        return cached[2]
+    hidden = []
+    for g in range(len(params.hidden)):
+        s = params.bn_scale[g].data / np.sqrt(params.bn_var[g] + _BN_EPS)
+        hidden.append((params.weights[g].data, s,
+                       (params.biases[g].data - params.bn_mean[g]) * s
+                       + params.bn_shift[g].data))
+    head = (np.concatenate([params.head_p_w.data, params.head_phi_w.data]),
+            np.concatenate([params.head_p_b.data, params.head_phi_b.data]))
+    params._folded = (versions, sources, (hidden, head))
+    return hidden, head
 
 
 def _infer_numpy(params: MLPParams, x):
     """Inference forward pass with the running batchnorm statistics; no
     tape. Takes one input vector or a (batch, a1) stack."""
     d = np.asarray(x, dtype=np.float64)
-    single = d.ndim == 1
-    if single:
-        d = d[None, :]
-    for g in range(len(params.hidden)):
-        z = d @ params.weights[g].data.T + params.biases[g].data
-        z = ((z - params.bn_mean[g]) / np.sqrt(params.bn_var[g] + _BN_EPS)
-             * params.bn_scale[g].data + params.bn_shift[g].data)
-        d = np.maximum(z, 0.0)
-    raw_p = _sigmoid_np(d @ params.head_p_w.data.T + params.head_p_b.data)
-    raw_phi = _sigmoid_np(d @ params.head_phi_w.data.T + params.head_phi_b.data)
-    if single:
-        return raw_p[0], raw_phi[0]
-    return raw_p, raw_phi
+    hidden, (head_w, head_b) = _inference_layers(params)
+    for w, s, c in hidden:
+        d = np.maximum((d @ w.T) * s + c, 0.0)
+    # the logistic function, written so that it never overflows
+    raw = 0.5 + 0.5 * np.tanh(0.5 * (d @ head_w.T + head_b))
+    k = params.dims[0]
+    return raw[..., :k], raw[..., k:]
 
 
 # --- feasibility mapping ------------------------------------------------------------
@@ -263,10 +286,11 @@ def init_optimizer(params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8) -> Optimiz
 
 
 def adam_step(params, grads, state: OptimizerState):
-    """One Adam update applied in place; returns (params, state).
+    """One Adam update; returns (params, state).
 
     params may be an MLPParams or a plain list of Tensors; grads is a
-    matching list of arrays.
+    matching list of arrays. Each tensor's data is updated in place and
+    its version bumped.
     """
     tensors = param_list(params) if isinstance(params, MLPParams) else list(params)
     if len(grads) != len(tensors) or len(state.m) != len(tensors):
@@ -283,6 +307,7 @@ def adam_step(params, grads, state: OptimizerState):
         m_hat = state.m[i] / (1.0 - state.beta1 ** t)
         v_hat = state.v[i] / (1.0 - state.beta2 ** t)
         tensor.data -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        tensor.version += 1
     return params, state
 
 
@@ -387,13 +412,16 @@ def infer(params: MLPParams, channels: tm.ChannelSet) -> InferResult:
     """One inference pass: forward, feasibility mapping, MMSE recovery.
 
     The rates and the unit directions conj(t_i) / |t_i| come from one
-    evaluation of the transmit objective's forward pass.
+    evaluation of the transmit objective's forward pass; the beamformers
+    scale the directions by the square roots of the powers, as
+    tm.recover_beamformers does.
     """
     raw_p, raw_phi = _infer_numpy(params, vectorize_input(channels))
     power, phases = normalize_outputs(raw_p, raw_phi, channels.p_max)
     fw = tm._wsr_forward(channels, power.p, phases.phi)
     directions = np.conj(fw.T) / np.sqrt(fw.q)[:, None]
-    beamformers = tm.recover_beamformers(power, directions)
+    beamformers = tm.BeamformerSet(w=np.sqrt(power.p)[:, None] * directions,
+                                   p_max=power.p_max)
     return InferResult(power=power, phases=phases, beamformers=beamformers,
                        rates=fw.rates)
 
@@ -403,7 +431,8 @@ def infer(params: MLPParams, channels: tm.ChannelSet) -> InferResult:
 def save_params(path, params: MLPParams, meta=None) -> None:
     """Write a checkpoint: magic "RISM", version, dims, widths as unsigned
     32-bit little-endian, then all float64 blocks in param_list order with
-    the running statistics after each layer's shift."""
+    the running statistics after each layer's shift. The JSON sidecar and
+    the binary are replaced atomically, the sidecar first."""
     k, n, nt = params.dims
     header = _MAGIC + struct.pack("<IIIII", _FORMAT_VERSION, k, n, nt,
                                   len(params.hidden))
@@ -415,18 +444,14 @@ def save_params(path, params: MLPParams, meta=None) -> None:
                    params.bn_mean[g], params.bn_var[g]]
     blocks += [params.head_p_w.data, params.head_p_b.data,
                params.head_phi_w.data, params.head_phi_b.data]
-    with open(path, "wb") as fh:
-        fh.write(header)
-        for b in blocks:
-            fh.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
     sidecar = {"format": "RISM", "version": _FORMAT_VERSION,
                "users": k, "elements": n, "antennas": nt,
                "hidden": list(params.hidden)}
     if meta:
         sidecar.update(meta)
-    with open(str(path) + ".json", "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    chunks = [header] + [np.ascontiguousarray(b, dtype="<f8") for b in blocks]
+    fileio.write_files((str(path) + ".json", fileio.json_text(sidecar)),
+                       (path, chunks))
 
 
 def load_params(path):

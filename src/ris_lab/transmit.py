@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import autodiff as ad
-from . import clinalg
+from . import clinalg, fileio
 
 _BUDGET_TOL = 1e-9
 _LN2 = math.log(2.0)
@@ -45,7 +45,7 @@ def _as_float_vec(x, name):
     v = np.asarray(x, dtype=np.float64)
     if v.ndim != 1:
         raise ValueError(f"{name} must be one dimensional, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError(f"{name} contains non-finite entries")
     return v
 
@@ -119,7 +119,7 @@ class PhaseVector:
         phi = _as_float_vec(self.phi, "phi")
         if phi.size < 1:
             raise ValueError("phi must have at least one element")
-        if np.any(phi < 0.0) or np.any(phi >= _TWO_PI):
+        if (phi < 0.0).any() or (phi >= _TWO_PI).any():
             raise ValueError("phases must lie in [0, 2*pi)")
         object.__setattr__(self, "phi", phi)
 
@@ -147,7 +147,7 @@ class PowerVector:
     def __post_init__(self):
         p = _as_float_vec(self.p, "p")
         p_max = float(self.p_max)
-        if np.any(p < 0.0):
+        if (p < 0.0).any():
             raise ValueError("powers must be nonnegative")
         if p_max <= 0.0:
             raise ValueError("p_max must be positive")
@@ -168,7 +168,7 @@ class BeamformerSet:
     def __post_init__(self):
         w = clinalg.as_cmat(np.asarray(self.w), "w")
         p_max = float(self.p_max)
-        total = float(np.sum(np.abs(w) ** 2))
+        total = float(np.vdot(w, w).real)
         if total > p_max + _BUDGET_TOL:
             raise ValueError(
                 f"total beamformer power {total:.12g} exceeds budget {p_max:.12g}")
@@ -506,6 +506,7 @@ def save_dataset(path, batch: ChannelBatch, meta=None) -> None:
     H, h_1..h_K, g_1..g_K as interleaved little-endian float64 pairs,
     followed by sigma2 and the user weights as float64. The sidecar at
     path + ".json" records the dimensions, the budget, and caller metadata.
+    Both files are replaced atomically, the sidecar first.
     """
     s, k, n, nt = len(batch), batch.K, batch.N, batch.NT
     header = _MAGIC + struct.pack("<IIIII", _FORMAT_VERSION, k, n, nt, s)
@@ -516,9 +517,6 @@ def save_dataset(path, batch: ChannelBatch, meta=None) -> None:
     block[:, :2 * cwidth] = np.ascontiguousarray(cplx.astype("<c16")).view("<f8")
     block[:, 2 * cwidth:2 * cwidth + k] = batch.sigma2
     block[:, 2 * cwidth + k:] = batch.user_weight
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(block.tobytes())
     sidecar = {
         "format": "RISD",
         "version": _FORMAT_VERSION,
@@ -530,9 +528,8 @@ def save_dataset(path, batch: ChannelBatch, meta=None) -> None:
     }
     if meta:
         sidecar.update(meta)
-    with open(str(path) + ".json", "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    fileio.write_files((str(path) + ".json", fileio.json_text(sidecar)),
+                       (path, [header, block]))
 
 
 def load_dataset(path):

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import fileio
 from .geometry import Point2, Polygon
 
 USER_LEVEL = 200
@@ -610,15 +611,13 @@ def recover_scene(raster: Raster, ris_positions, kappa, *, threshold=0.5,
 # --- raster files -------------------------------------------------------------------
 
 def save_raster(path, raster: Raster) -> None:
-    """Write a binary PGM (P5) plus a JSON sidecar with the world mapping."""
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{raster.width} {raster.height}\n255\n".encode("ascii"))
-        fh.write(raster.pixels.tobytes())
+    """Write a binary PGM (P5) plus a JSON sidecar with the world mapping,
+    both replaced atomically, the sidecar first."""
+    header = f"P5\n{raster.width} {raster.height}\n255\n".encode("ascii")
     sidecar = {"meters_per_pixel": raster.meters_per_pixel,
                "world_origin": [raster.world_origin.x, raster.world_origin.y]}
-    with open(str(path) + ".json", "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    fileio.write_files((str(path) + ".json", fileio.json_text(sidecar)),
+                       (path, header + raster.pixels.tobytes()))
 
 
 def load_raster(path) -> Raster:

@@ -129,6 +129,36 @@ def test_tape_free_inference_matches_taped_forward():
     assert np.max(np.abs(fast_phi - taped_phi.data)) < 1e-12
 
 
+def test_inference_follows_parameter_updates():
+    # the folded inference copy is made again after every adam_step,
+    # whether it is given the params or their tensor list, and after a
+    # running statistic is replaced
+    rng = np.random.default_rng(29)
+    params = pl.init_params((2, 3, 4), (16, 8), rng)
+    x = rng.standard_normal((6, params.a1))
+    tensors = pl.param_list(params)
+    state = pl.init_optimizer(params, lr=0.05)
+
+    def assert_current():
+        fast = pl._infer_numpy(params, x)
+        taped = _taped_infer(params, x)
+        for got, want in zip(fast, taped):
+            assert np.max(np.abs(got - want.data)) < 1e-12
+
+    assert_current()
+    before = pl._infer_numpy(params, x)[0].copy()
+    pl.adam_step(params, [rng.standard_normal(t.data.shape) for t in tensors],
+                 state)
+    assert_current()
+    assert not np.array_equal(pl._infer_numpy(params, x)[0], before)
+    pl.adam_step(tensors, [rng.standard_normal(t.data.shape) for t in tensors],
+                 state)
+    assert_current()
+    params.bn_mean[1] = params.bn_mean[1] + 0.5
+    params.bn_var[0] = 2.0 * params.bn_var[0]
+    assert_current()
+
+
 def test_forward_single_vector_shapes():
     rng = np.random.default_rng(17)
     params = pl.init_params((2, 3, 4), (8,), rng)
