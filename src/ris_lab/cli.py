@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import logging
 import statistics
 import sys
 import time
@@ -171,7 +172,7 @@ def _agreement_run(args) -> None:
     cfg = _load_run_config(args)
     rng = np.random.default_rng(cfg.seed)
     half = args.half_extent or cfg.scene.region + 1.0
-    agree, mismatches = 0, []
+    agree, detail = 0, []
     for i in range(args.agreement):
         scene = random_scene(cfg.scene, rng)
         truth = select_ris(scene)
@@ -179,12 +180,14 @@ def _agreement_run(args) -> None:
         if truth == seen:
             agree += 1
         else:
-            mismatches.append(i)
+            detail.append({"scene": i, "geometry": truth, "vision": seen})
     rate = agree / args.agreement
     print(f"agreement: {agree}/{args.agreement} = {rate:.3f}")
     if args.out:
         _write_json(args.out, {"scenes": args.agreement, "agree": agree,
-                               "rate": rate, "mismatches": mismatches})
+                               "rate": rate,
+                               "mismatches": [d["scene"] for d in detail],
+                               "mismatch_detail": detail})
 
 
 def cmd_gen_data(args) -> None:
@@ -286,6 +289,15 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ris-lab",
         description="surface selection, dataset generation, policy "
                     "training and benchmarking for the downlink pipeline")
+    ap.add_argument("-v", "--verbose", dest="log_level", action="store_const",
+                    const="INFO",
+                    help="log progress (per-epoch training loss) on stderr; "
+                         "same as --log-level INFO")
+    ap.add_argument("--log-level", dest="log_level",
+                    choices=("DEBUG", "INFO", "WARNING", "ERROR"),
+                    help="stderr logging threshold (default WARNING); "
+                         "stdout and written files do not depend on it")
+    ap.set_defaults(log_level="WARNING")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -347,11 +359,22 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # the package logger prints to stderr for this call only
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(
+        logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    logger = logging.getLogger("ris_lab")
+    previous_level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(args.log_level)
     try:
         _HANDLERS[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(previous_level)
     return 0
 
 

@@ -13,6 +13,7 @@ filled polygons at intensity 90, background 0.
 from __future__ import annotations
 
 import json
+import math
 import os
 from collections import deque
 from dataclasses import dataclass
@@ -144,13 +145,35 @@ def render_top_view(scene, resolution, half_extent=None) -> Raster:
     origin = Point2(-half_extent + mpp / 2.0, half_y - mpp / 2.0)
     xs = origin.x + mpp * np.arange(width)
     ys = origin.y - mpp * np.arange(height)
+
+    def window(x_lo, x_hi, y_lo, y_hi):
+        """Pixel slices covering a world box, padded by one pixel so that
+        rounding in the world-to-pixel step never cuts off a boundary
+        pixel."""
+        c0 = math.floor((x_lo - origin.x) / mpp) - 1
+        c1 = math.floor((x_hi - origin.x) / mpp) + 2
+        r0 = math.floor((origin.y - y_hi) / mpp) - 1
+        r1 = math.floor((origin.y - y_lo) / mpp) + 2
+        return (slice(max(r0, 0), min(r1, height)),
+                slice(max(c0, 0), min(c1, width)))
+
+    # Each shape is drawn on its bounding box only. That is exact: no
+    # polygon edge straddles a pixel row outside the box, a row's
+    # crossings left of the box come in pairs, and disc pixels outside it
+    # lie farther than the radius from the center.
     pixels = np.zeros((height, width), dtype=np.uint8)
     for poly in scene.obstacles:
-        pixels[_fill_polygon_mask(poly, xs, ys)] = OBSTACLE_LEVEL
-    X, Y = np.meshgrid(xs, ys)
+        vx = [v.x for v in poly.vertices]
+        vy = [v.y for v in poly.vertices]
+        rows, cols = window(min(vx), max(vx), min(vy), max(vy))
+        pixels[rows, cols][_fill_polygon_mask(poly, xs[cols], ys[rows])] = \
+            OBSTACLE_LEVEL
+    r = USER_RADIUS_M
     for u in scene.users:
-        disc = (X - u.x) ** 2 + (Y - u.y) ** 2 <= USER_RADIUS_M ** 2
-        pixels[disc] = USER_LEVEL
+        rows, cols = window(u.x - r, u.x + r, u.y - r, u.y + r)
+        disc = ((xs[cols][None, :] - u.x) ** 2
+                + (ys[rows][:, None] - u.y) ** 2 <= r ** 2)
+        pixels[rows, cols][disc] = USER_LEVEL
     return Raster(pixels=pixels, meters_per_pixel=mpp, world_origin=origin)
 
 
@@ -169,27 +192,60 @@ _NEIGHBORS8 = [(-1, -1), (-1, 0), (-1, 1), (0, -1),
 
 def _connected_components(mask):
     """8-connected components in deterministic scan order; each is an
-    (rows, cols) index pair."""
-    h, w = mask.shape
-    seen = np.zeros_like(mask, dtype=bool)
-    components = []
-    for r0, c0 in zip(*np.nonzero(mask)):
-        if seen[r0, c0]:
-            continue
-        queue = deque([(int(r0), int(c0))])
-        seen[r0, c0] = True
-        rows, cols = [], []
-        while queue:
-            r, c = queue.popleft()
-            rows.append(r)
-            cols.append(c)
-            for dr, dc in _NEIGHBORS8:
-                rr, cc = r + dr, c + dc
-                if 0 <= rr < h and 0 <= cc < w and mask[rr, cc] and not seen[rr, cc]:
-                    seen[rr, cc] = True
-                    queue.append((rr, cc))
-        components.append((np.array(rows), np.array(cols)))
-    return components
+    (rows, cols) index pair.
+
+    The mask is cut into horizontal runs of set pixels. Two runs on
+    adjacent rows belong together when their column spans overlap or touch
+    diagonally, and union-find merges them. Components come out ordered
+    by their first pixel in row-major scan, as a flood fill started from
+    each unvisited pixel in turn would find them; within a component the
+    pixels are listed run by run.
+    """
+    mask = np.asarray(mask, dtype=np.int8)
+    steps = np.zeros((mask.shape[0], mask.shape[1] + 1), dtype=np.int8)
+    steps[:, :-1] = mask
+    steps[:, 1:] -= mask  # +1 where a run starts, -1 just past its end
+    # in scan order every run's start is followed by its (exclusive) end;
+    # keyed as row * stride + column, they sort the runs row by row
+    bounds = np.flatnonzero(steps)
+    if bounds.size == 0:
+        return []
+    stride = steps.shape[1]
+    key_start, key_end = bounds[0::2], bounds[1::2]
+    run_row, start = np.divmod(key_start, stride)
+
+    # The runs of the row above that touch a run form one contiguous
+    # block: those ending at or after its start and starting at or before
+    # its end. Both bounds reach one column further for diagonal contact.
+    lo = np.searchsorted(key_end, key_start - stride, side="left")
+    hi = np.searchsorted(key_start, key_end - stride, side="right")
+    count = np.maximum(hi - lo, 0)
+    lower = np.repeat(np.arange(run_row.size), count)
+    upper = (np.arange(count.sum())
+             + np.repeat(lo - (np.cumsum(count) - count), count))
+
+    parent = list(range(run_row.size))
+
+    def root(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for p, q in zip(upper.tolist(), lower.tolist()):
+        rp, rq = root(p), root(q)
+        if rp != rq:  # the earlier run in scan order stays the root
+            parent[max(rp, rq)] = min(rp, rq)
+    label = np.array([root(x) for x in range(run_row.size)])
+
+    order = np.argsort(label, kind="stable")
+    length = (key_end - key_start)[order]
+    first = np.cumsum(length) - length
+    rows = np.repeat(run_row[order], length)
+    cols = np.arange(length.sum()) + np.repeat(start[order] - first, length)
+    _, heads = np.unique(label[order], return_index=True)
+    cuts = first[heads[1:]]
+    return list(zip(np.split(rows, cuts), np.split(cols, cuts)))
 
 
 def detect_objects(raster: Raster, threshold=0.5):
@@ -395,22 +451,61 @@ def _douglas_peucker(points, eps):
     return np.nonzero(keep)[0]
 
 
-def _cyclic_arc_deviation(pts, i, j):
-    """Max distance from the cyclic arc i..j to the chord (i, j)."""
-    if j >= i:
-        arc = pts[i:j + 1]
-    else:
-        arc = np.vstack([pts[i:], pts[:j + 1]])
-    return float(_perpendicular_distances(arc, pts[i], pts[j]).max())
+class _ArcTable:
+    """Chord deviations of one closed contour's arcs, each computed once.
+
+    Arc (i, j) runs forward along the contour from index i to index j,
+    wrapping past the end, and its deviation is the largest distance from
+    its points to the chord (i, j). The row and column coordinates are
+    kept doubled, so a wrapped arc is a single slice. `dev` maps
+    (i, j) to the deviation of every arc computed so far; the relocation
+    and elimination passes ask for the same arcs many times over, and
+    `moves` likewise keeps each relocation window's outcome.
+    """
+
+    def __init__(self, pts):
+        self.pts = pts
+        self.rows, self.cols = np.tile(pts[:, 0], 2), np.tile(pts[:, 1], 2)
+        self.dev = {}
+        self.moves = {}  # (a, vertex, b, radius) -> _adjust_cyclic's pick
+
+    def fill(self, arcs):
+        """Compute the deviations of the listed (i, j) arcs not yet in the
+        table, in one padded array call.
+
+        The elementwise arithmetic is _perpendicular_distances', zero-length
+        chords included, so every value is the one a single-arc call would
+        give. Short arcs are padded by repeating their end point, which
+        lies on the chord and so leaves the maximum alone."""
+        dev = self.dev
+        missing = list({arc: None for arc in arcs if arc not in dev})
+        if not missing:
+            return
+        i, j = np.array(missing).T
+        last = (j - i) % len(self.pts)
+        idx = i[:, None] + np.minimum(np.arange(last.max() + 1),
+                                      last[:, None])
+        ar, ac = self.rows[i], self.cols[i]
+        dr, dc = self.rows[j] - ar, self.cols[j] - ac
+        norm = np.hypot(dr, dc)
+        er = self.rows[idx] - ar[:, None]
+        ec = self.cols[idx] - ac[:, None]
+        zero = norm == 0.0
+        dist = (np.abs(er * dc[:, None] - ec * dr[:, None])
+                / np.where(zero, 1.0, norm)[:, None])
+        if zero.any():
+            dist[zero] = np.hypot(er[zero], ec[zero])
+        dev.update(zip(missing, dist.max(axis=1).tolist()))
 
 
-def _polygon_deviation(pts, kept):
+def _polygon_deviation(arcs, kept):
     """Max contour-to-chord deviation over all edges of the kept polygon."""
-    return max(_cyclic_arc_deviation(pts, kept[t], kept[(t + 1) % len(kept)])
-               for t in range(len(kept)))
+    edges = [(kept[t], kept[(t + 1) % len(kept)]) for t in range(len(kept))]
+    arcs.fill(edges)
+    return max(arcs.dev[e] for e in edges)
 
 
-def _prune_cyclic(pts, kept, eps, radius=8):
+def _prune_cyclic(arcs, kept, eps, radius=8):
     """Backward elimination on a closed polygon: drop any kept vertex whose
     removal leaves the polygon within eps of the contour. The split-path
     simplification keeps both cut anchors unconditionally, so without this
@@ -420,18 +515,19 @@ def _prune_cyclic(pts, kept, eps, radius=8):
     which escapes configurations pinned by an off-corner vertex."""
     kept = list(kept)
     while len(kept) > 3:
+        bridges = [(kept[t - 1], kept[(t + 1) % len(kept)])
+                   for t in range(len(kept))]
+        arcs.fill(bridges)
         best_trial, lowest = None, eps
-        for t in range(len(kept)):
-            a = kept[(t - 1) % len(kept)]
-            b = kept[(t + 1) % len(kept)]
-            dev = _cyclic_arc_deviation(pts, a, b)
+        for t, bridge in enumerate(bridges):
+            dev = arcs.dev[bridge]
             if dev <= lowest:
                 best_trial, lowest = kept[:t] + kept[t + 1:], dev
         if best_trial is None:
             for t in range(len(kept)):
-                trial = _adjust_cyclic(pts, kept[:t] + kept[t + 1:],
+                trial = _adjust_cyclic(arcs, kept[:t] + kept[t + 1:],
                                        radius=radius, sweeps=4)
-                dev = _polygon_deviation(pts, trial)
+                dev = _polygon_deviation(arcs, trial)
                 if dev <= lowest:
                     best_trial, lowest = trial, dev
         if best_trial is None:
@@ -440,39 +536,47 @@ def _prune_cyclic(pts, kept, eps, radius=8):
     return kept
 
 
-def _adjust_cyclic(pts, kept, radius=8, sweeps=12):
+def _adjust_cyclic(arcs, kept, radius=8, sweeps=12):
     """Slide each kept vertex along the contour (within a small window) to
     the spot that minimizes the worse of its two arc deviations. Splitting
     tends to land vertices on the shoulders beside a rounded corner; this
-    relocation walks them onto the corner apex."""
-    n = len(pts)
+    relocation walks them onto the corner apex.
+
+    A vertex's window is its current index followed by every candidate
+    within `radius` that lies strictly inside the arc between its
+    neighbors. The arcs from the previous neighbor to each candidate and
+    on to the next neighbor that the table lacks are computed in one
+    batch, then the candidates are compared in window order: a candidate
+    wins only by more than 1e-12. The winner depends on the two neighbors,
+    the vertex and the radius alone, so the table keeps it for the next
+    sweep or trial that asks again."""
+    n = len(arcs.pts)
+    dev, moves = arcs.dev, arcs.moves
     kept = list(kept)
     for _ in range(sweeps):
         moved = False
         for t in range(len(kept)):
-            a = kept[(t - 1) % len(kept)]
-            b = kept[(t + 1) % len(kept)]
-            cur = kept[t]
-            best_idx, best_dev = cur, max(_cyclic_arc_deviation(pts, a, cur),
-                                          _cyclic_arc_deviation(pts, cur, b))
-            for off in range(-radius, radius + 1):
-                cand = (cur + off) % n
-                if cand in (a, b, cur):
-                    continue
-                between = (cand - a) % n < (b - a) % n  # stay inside the arc
-                if not between:
-                    continue
-                dev = max(_cyclic_arc_deviation(pts, a, cand),
-                          _cyclic_arc_deviation(pts, cand, b))
-                if dev < best_dev - 1e-12:
-                    best_idx, best_dev = cand, dev
-            if best_idx != cur:
-                kept[t] = best_idx
+            a, cur, b = kept[t - 1], kept[t], kept[(t + 1) % len(kept)]
+            key = (a, cur, b, radius)
+            if key not in moves:
+                span = (b - a) % n
+                window = [cur] + [
+                    cand for cand in ((cur + off) % n
+                                      for off in range(-radius, radius + 1))
+                    if cand not in (a, b, cur) and (cand - a) % n < span]
+                arcs.fill([(a, c) for c in window] + [(c, b) for c in window])
+                best_idx, best_dev = cur, max(dev[a, cur], dev[cur, b])
+                for cand in window[1:]:
+                    cand_dev = max(dev[a, cand], dev[cand, b])
+                    if cand_dev < best_dev - 1e-12:
+                        best_idx, best_dev = cand, cand_dev
+                moves[key] = best_idx
+            if moves[key] != cur:
+                kept[t] = moves[key]
                 moved = True
         if not moved:
             break
-    order = sorted(range(len(kept)), key=lambda t: kept[t])
-    return [kept[t] for t in order]
+    return sorted(kept)
 
 
 def _refine_corners(pts, idx, trim=4, cap=5.0):
@@ -525,6 +629,10 @@ def approx_polygon(edge_map, epsilon_px) -> VertexSet:
     Anchoring the cut at the diameter keeps the anchors on true extremes of
     the shape instead of arbitrary trace-start pixels, which matters for
     hitting sharp corners dead on.
+
+    The relocation and elimination rounds that follow share one _ArcTable
+    for the contour, so each arc's chord deviation is computed once per
+    call however often the rounds ask for it.
     """
     eps = float(epsilon_px)
     if eps <= 0.0:
@@ -560,8 +668,9 @@ def approx_polygon(edge_map, epsilon_px) -> VertexSet:
     idx = np.unique(np.concatenate([first, second]))
     idx = idx[idx < len(pts)]  # the closing repeat of the cut point drops out
     idx = idx.tolist()
+    arcs = _ArcTable(pts)
     for _ in range(6):  # alternate relocation and elimination until stable
-        refined = _prune_cyclic(pts, _adjust_cyclic(pts, idx), eps)
+        refined = _prune_cyclic(arcs, _adjust_cyclic(arcs, idx), eps)
         if refined == idx:
             break
         idx = refined

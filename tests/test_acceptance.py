@@ -28,8 +28,7 @@ from ris_lab import transmit as tm
 from ris_lab.config import RunConfig
 from ris_lab.geometry import select_ris
 from ris_lab.scenes import SceneGenConfig, random_scene
-from ris_lab.vision import (detect_objects, recover_coordinates,
-                            recover_scene, render_top_view)
+from ris_lab.vision import recover_scene, render_top_view
 
 RATE_RATIO_FLOOR = 0.85
 SPEEDUP_FLOOR = 100.0
@@ -178,7 +177,7 @@ def test_07_image_chain_matches_ground_truth_selection():
         recovered = recover_scene(raster, scene.ris_positions, scene.kappa)
         if select_ris(recovered) == select_ris(scene):
             agree += 1
-        _, obstacles = recover_coordinates(detect_objects(raster), raster)
+        obstacles = recovered.obstacles
         assert len(obstacles) == len(scene.obstacles)
         centroids = [(np.mean([v.x for v in ob.vertices]),
                       np.mean([v.y for v in ob.vertices]))

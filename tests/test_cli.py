@@ -10,7 +10,7 @@ import pytest
 from ris_lab import cli
 from ris_lab.baseline import AOConfig
 from ris_lab.config import RunConfig, save_config
-from ris_lab.geometry import Point2, Scene, save_scene
+from ris_lab.geometry import Point2, Scene, save_scene, select_ris
 from ris_lab.policy import TrainConfig
 from ris_lab.scenes import SceneGenConfig, random_scene
 from ris_lab.vision import load_raster
@@ -119,6 +119,28 @@ def test_agreement_run_is_deterministic(workdir, capsys):
     assert doc["scenes"] == 4
     assert 0.0 <= doc["rate"] <= 1.0
     assert "agreement: " in capsys.readouterr().out
+
+
+def test_agreement_out_details_each_mismatch(workdir, monkeypatch):
+    save_config("run.json", small_config())
+    # the image chain is replaced by one that picks the next surface on the
+    # second scene only
+    calls = iter(range(3))
+
+    def fake_vision_select(scene, resolution, half_extent):
+        shift = 1 if next(calls) == 1 else 0
+        return (select_ris(scene) + shift) % scene.num_ris
+
+    monkeypatch.setattr(cli, "_vision_select", fake_vision_select)
+    assert cli.main(["select-ris", "--agreement", "3", "--config", "run.json",
+                     "--seed", "5", "--out", "agree.json"]) == 0
+    doc = json.loads((workdir / "agree.json").read_text())
+    rng = np.random.default_rng(5)
+    truth = [select_ris(random_scene(RunConfig().scene, rng)) for _ in range(3)]
+    assert doc["agree"] == 2
+    assert doc["mismatches"] == [1]
+    assert doc["mismatch_detail"] == [
+        {"scene": 1, "geometry": truth[1], "vision": (truth[1] + 1) % 6}]
 
 
 @pytest.mark.parametrize("region,standoff,message", [
@@ -240,6 +262,24 @@ def test_train_replay_is_byte_identical(workdir):
     assert (workdir / "a.rism").read_bytes() == (workdir / "b.rism").read_bytes()
     assert (workdir / "a.rism.json").read_text() == \
         (workdir / "b.rism.json").read_text()
+
+
+def test_verbose_flag_logs_training_epochs_on_stderr(workdir, capsys):
+    save_config("run.json", small_config())
+    assert cli.main(["gen-data", "--config", "run.json",
+                     "--role", "train"]) == 0
+    capsys.readouterr()
+    assert cli.main(["train", "--config", "run.json", "--out", "quiet.rism"]) == 0
+    quiet = capsys.readouterr()
+    assert "epoch 1/" not in quiet.err
+    assert cli.main(["-v", "train", "--config", "run.json",
+                     "--out", "loud.rism"]) == 0
+    loud = capsys.readouterr()
+    assert "epoch 1/2" in loud.err and "epoch 2/2" in loud.err
+    assert "epoch 1/" not in loud.out
+    for suffix in (".rism", ".rism.json"):
+        assert (workdir / f"quiet{suffix}").read_bytes() == \
+            (workdir / f"loud{suffix}").read_bytes()
 
 
 def test_report_has_three_method_rows(pipeline):

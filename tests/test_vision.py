@@ -8,6 +8,7 @@ functions under test.
 import numpy as np
 import pytest
 
+from ris_lab import vision
 from ris_lab.geometry import Point2, Polygon, Scene, select_ris
 from ris_lab.scenes import SceneGenConfig, random_scene
 from ris_lab.vision import (Raster, canny_edges, approx_polygon, crop,
@@ -470,3 +471,301 @@ def test_load_raster_rejects_bad_files(tmp_path):
     orphan.write_bytes(b"P5\n16 16\n255\n" + b"\0" * 256)
     with pytest.raises(ValueError):
         load_raster(orphan)
+
+
+# --- exactness of the fast image chain ----------------------------------------------
+#
+# The scalar code below is the image chain as first written: one arc
+# deviation at a time, a per-pixel flood fill, full-frame rasterization.
+# The fast chain must reproduce it bit for bit.
+
+
+def ref_arc_deviation(pts, i, j):
+    """Max distance from the cyclic arc i..j to the chord (i, j)."""
+    arc = pts[i:j + 1] if j >= i else np.vstack([pts[i:], pts[:j + 1]])
+    a, b = pts[i], pts[j]
+    d = b - a
+    n = np.hypot(*d)
+    if n == 0.0:
+        dist = np.hypot(arc[:, 0] - a[0], arc[:, 1] - a[1])
+    else:
+        dist = np.abs((arc[:, 0] - a[0]) * d[1] - (arc[:, 1] - a[1]) * d[0]) / n
+    return float(dist.max())
+
+
+def ref_polygon_deviation(pts, kept):
+    return max(ref_arc_deviation(pts, kept[t], kept[(t + 1) % len(kept)])
+               for t in range(len(kept)))
+
+
+def ref_adjust_cyclic(pts, kept, radius=8, sweeps=12):
+    n = len(pts)
+    kept = list(kept)
+    for _ in range(sweeps):
+        moved = False
+        for t in range(len(kept)):
+            a = kept[(t - 1) % len(kept)]
+            b = kept[(t + 1) % len(kept)]
+            cur = kept[t]
+            best_idx, best_dev = cur, max(ref_arc_deviation(pts, a, cur),
+                                          ref_arc_deviation(pts, cur, b))
+            for off in range(-radius, radius + 1):
+                cand = (cur + off) % n
+                if cand in (a, b, cur):
+                    continue
+                if not (cand - a) % n < (b - a) % n:
+                    continue
+                dev = max(ref_arc_deviation(pts, a, cand),
+                          ref_arc_deviation(pts, cand, b))
+                if dev < best_dev - 1e-12:
+                    best_idx, best_dev = cand, dev
+            if best_idx != cur:
+                kept[t] = best_idx
+                moved = True
+        if not moved:
+            break
+    return sorted(kept)
+
+
+def ref_prune_cyclic(pts, kept, eps, radius=8):
+    kept = list(kept)
+    while len(kept) > 3:
+        best_trial, lowest = None, eps
+        for t in range(len(kept)):
+            dev = ref_arc_deviation(pts, kept[(t - 1) % len(kept)],
+                                    kept[(t + 1) % len(kept)])
+            if dev <= lowest:
+                best_trial, lowest = kept[:t] + kept[t + 1:], dev
+        if best_trial is None:
+            for t in range(len(kept)):
+                trial = ref_adjust_cyclic(pts, kept[:t] + kept[t + 1:],
+                                          radius=radius, sweeps=4)
+                dev = ref_polygon_deviation(pts, trial)
+                if dev <= lowest:
+                    best_trial, lowest = trial, dev
+        if best_trial is None:
+            break
+        kept = best_trial
+    return kept
+
+
+NEIGHBORS8 = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]
+
+
+def ref_components(mask):
+    """Breadth-first flood fill from each unvisited pixel in row-major
+    order; each component is a (rows, cols) pair."""
+    h, w = mask.shape
+    seen = np.zeros(mask.shape, dtype=bool)
+    components = []
+    for r0, c0 in zip(*np.nonzero(mask)):
+        if seen[r0, c0]:
+            continue
+        queue = [(int(r0), int(c0))]
+        seen[r0, c0] = True
+        for r, c in queue:
+            for dr, dc in NEIGHBORS8:
+                rr, cc = r + dr, c + dc
+                if 0 <= rr < h and 0 <= cc < w and mask[rr, cc] and not seen[rr, cc]:
+                    seen[rr, cc] = True
+                    queue.append((rr, cc))
+        rows, cols = zip(*queue)
+        components.append((np.array(rows), np.array(cols)))
+    return components
+
+
+def ref_render_pixels(scene, raster):
+    """Full-frame rasterization on the frame's own pixel grid."""
+    mpp, origin = raster.meters_per_pixel, raster.world_origin
+    xs = origin.x + mpp * np.arange(raster.width)
+    ys = origin.y - mpp * np.arange(raster.height)
+    X, Y = np.meshgrid(xs, ys)
+    pixels = np.zeros((raster.height, raster.width), dtype=np.uint8)
+    for poly in scene.obstacles:
+        inside = np.zeros(X.shape, dtype=bool)
+        for p, q in poly.edges():
+            straddles = (p.y > Y) != (q.y > Y)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                x_cross = p.x + (Y - p.y) * (q.x - p.x) / (q.y - p.y)
+            inside ^= straddles & (X < x_cross)
+        pixels[inside] = 90
+    for u in scene.users:
+        pixels[(X - u.x) ** 2 + (Y - u.y) ** 2 <= 0.5 ** 2] = 200
+    return pixels
+
+
+def pixel_sets(components):
+    return [sorted(zip(rows.tolist(), cols.tolist())) for rows, cols in components]
+
+
+def contour_points(seed):
+    """A traced obstacle contour, as approx_polygon sees it before the cut."""
+    scene = random_scene(SceneGenConfig(n_ris=6, n_users=4),
+                         np.random.default_rng(seed))
+    raster = render_top_view(scene, 512, 19.0)
+    obstacle = next(o for o in detect_objects(raster) if o.category == "obstacle")
+    edges = canny_edges(crop(raster, obstacle.bbox, 6)) > 0
+    rows, cols = vision._connected_components(edges)[0]
+    component = np.zeros_like(edges)
+    component[rows, cols] = True
+    trace = vision._moore_trace(component, min(zip(rows.tolist(), cols.tolist())))
+    return np.array(trace, dtype=np.float64)
+
+
+@pytest.mark.parametrize("shape", ["empty", "full", "single", "checkerboard",
+                                   "filaments", "random"])
+def test_components_match_flood_fill(shape):
+    rng = np.random.default_rng(17)
+    masks = []
+    if shape == "empty":
+        masks = [np.zeros((9, 13), bool)]
+    elif shape == "full":
+        masks = [np.ones((9, 13), bool), np.ones((1, 1), bool)]
+    elif shape == "single":
+        for r, c in ((0, 0), (4, 6), (8, 12)):
+            m = np.zeros((9, 13), bool)
+            m[r, c] = True
+            masks.append(m)
+    elif shape == "checkerboard":
+        # every contact is diagonal: one component, none if diagonals were
+        # not neighbors
+        masks = [np.indices((10, 11)).sum(axis=0) % 2 == 0,
+                 np.eye(12, dtype=bool), np.eye(12, dtype=bool)[::-1]]
+        stairs = np.zeros((8, 16), bool)
+        for r in range(8):
+            stairs[r, 2 * r] = stairs[r, 2 * r + 1] = True
+        masks.append(stairs)
+    elif shape == "filaments":
+        m = np.zeros((20, 30), bool)
+        m[2, 1:28] = True                # horizontal line
+        m[3:18, 27] = True               # vertical line joined to it
+        m[5:15, 5] = True                # separate vertical line
+        m[10, 7:20] = True               # separate horizontal line
+        for k in range(8):
+            m[12 + k % 2, 22 + k // 2] = True  # zig-zag
+        m[18, 2] = True
+        masks.append(m)
+        masks.append(m.T.copy())
+    else:
+        for density in (0.1, 0.3, 0.5, 0.7):
+            masks.append(rng.random((31, 37)) < density)
+    for mask in masks:
+        got = vision._connected_components(mask)
+        want = ref_components(mask)
+        assert pixel_sets(got) == pixel_sets(want)
+    if shape == "checkerboard":
+        assert all(len(vision._connected_components(m)) == 1 for m in masks)
+
+
+def test_arc_table_matches_scalar_deviation():
+    pts = contour_points(5)
+    n = len(pts)
+    rng = np.random.default_rng(1)
+    arcs = [(int(i), int(j)) for i, j in rng.integers(0, n, (300, 2))]
+    arcs += [(n - 3, 2), (0, n - 1), (n - 1, 0), (7, 7)]  # wrapped, whole, point
+    table = vision._ArcTable(pts)
+    table.fill(arcs[:40])
+    table.fill(arcs)  # the second call only computes what is missing
+    for i, j in arcs:
+        assert table.dev[i, j] == ref_arc_deviation(pts, i, j)
+
+
+def test_arc_table_zero_length_chord():
+    # a contour that passes the same pixel twice (a spur) has arcs whose
+    # chord has zero length; those fall back to the distance from the point
+    pts = np.array([[0, 0], [0, 1], [0, 2], [1, 2], [0, 2], [0, 3], [1, 1]],
+                   dtype=np.float64)
+    table = vision._ArcTable(pts)
+    arcs = [(2, 4), (4, 2), (2, 2), (0, 6), (1, 4)]
+    table.fill(arcs)
+    assert table.dev[2, 4] == ref_arc_deviation(pts, 2, 4) == 1.0
+    for i, j in arcs:
+        assert table.dev[i, j] == ref_arc_deviation(pts, i, j)
+
+
+@pytest.mark.parametrize("seed", [5, 9, 21])
+def test_relocation_and_pruning_match_scalar_loops(seed):
+    pts = contour_points(seed)
+    n = len(pts)
+    rng = np.random.default_rng(seed)
+    for count in (3, 4, 6, 9):
+        kept = sorted(rng.choice(n, count, replace=False).tolist())
+        table = vision._ArcTable(pts)
+        assert vision._adjust_cyclic(table, kept) == ref_adjust_cyclic(pts, kept)
+        assert vision._adjust_cyclic(table, kept, radius=3, sweeps=2) == \
+            ref_adjust_cyclic(pts, kept, radius=3, sweeps=2)
+        for eps in (1.0, 2.0, 6.0):
+            assert vision._prune_cyclic(table, kept, eps) == \
+                ref_prune_cyclic(pts, kept, eps)
+        assert vision._polygon_deviation(table, kept) == \
+            ref_polygon_deviation(pts, kept)
+
+
+def test_fast_chain_matches_scalar_chain(monkeypatch):
+    gen = SceneGenConfig(n_ris=6, n_users=4)
+    rng = np.random.default_rng(31)
+    scenes = [random_scene(gen, rng) for _ in range(40)]
+    rasters = [render_top_view(s, 512, gen.region + 1.0) for s in scenes]
+    made = []
+    approx = vision.approx_polygon
+    monkeypatch.setattr(vision, "approx_polygon",
+                        lambda edges, eps: made.append(approx(edges, eps)) or made[-1])
+
+    def run():
+        made.clear()
+        out = []
+        for scene, raster in zip(scenes, rasters):
+            rec = recover_scene(raster, scene.ris_positions, scene.kappa)
+            out.append((detect_objects(raster),
+                        [(u.x, u.y) for u in rec.users],
+                        [[(v.x, v.y) for v in ob.vertices] for ob in rec.obstacles]))
+        return out, [vs.vertices for vs in made]
+
+    fast, fast_vertices = run()
+    monkeypatch.setattr(vision, "_connected_components", ref_components)
+    monkeypatch.setattr(vision, "_adjust_cyclic",
+                        lambda arcs, kept, radius=8, sweeps=12:
+                        ref_adjust_cyclic(arcs.pts, kept, radius, sweeps))
+    monkeypatch.setattr(vision, "_prune_cyclic",
+                        lambda arcs, kept, eps, radius=8:
+                        ref_prune_cyclic(arcs.pts, kept, eps, radius))
+    slow, slow_vertices = run()
+    assert fast == slow
+    assert len(fast_vertices) == len(slow_vertices) >= 40
+    for a, b in zip(fast_vertices, slow_vertices):
+        assert np.array_equal(a, b)
+
+
+def test_render_matches_full_frame_fill():
+    gen = SceneGenConfig(n_ris=6, n_users=4)
+    rng = np.random.default_rng(8)
+    for k in range(200):
+        scene = random_scene(gen, rng)
+        raster = render_top_view(scene, 512, gen.region + 1.0)
+        assert np.array_equal(raster.pixels, ref_render_pixels(scene, raster))
+        # the outermost vertex or disc edge on the frame border; every other
+        # frame is taller than wide
+        tight = max([max(abs(v.x), abs(v.y)) for ob in scene.obstacles
+                     for v in ob.vertices]
+                    + [max(abs(u.x), abs(u.y)) + 0.5 for u in scene.users])
+        raster = render_top_view(scene, (256, 256 + 64 * (k % 2)), tight)
+        assert np.array_equal(raster.pixels, ref_render_pixels(scene, raster))
+
+
+def test_render_boundaries_on_pixel_centers():
+    # the even-odd rule fills a row that runs exactly along a polygon's
+    # bottom edge; drawing on the bounding box must keep that row
+    frame = render_top_view(Scene(), 128, half_extent=6.4)
+    mpp, origin = frame.meters_per_pixel, frame.world_origin
+    xs = origin.x + mpp * np.arange(128)
+    ys = origin.y - mpp * np.arange(128)
+    for r in range(5, 126):
+        c = 2 + (7 * r) % 110
+        x0, x1, y0 = xs[c], xs[c + 5], ys[r]
+        rect = Polygon([Point2(x0, y0), Point2(x1, y0),
+                        Point2(x1, y0 + 0.35), Point2(x0, y0 + 0.35)])
+        scene = Scene(obstacles=[rect])
+        raster = render_top_view(scene, 128, half_extent=6.4)
+        want = ref_render_pixels(scene, raster)
+        assert want[r].any()
+        assert np.array_equal(raster.pixels, want)
