@@ -25,7 +25,7 @@ import numpy as np
 from . import baseline, fileio, policy
 from .config import RunConfig, config_hash, load_config
 from .datagen import write_dataset
-from .geometry import cascade_pathloss, load_scene, select_ris
+from .geometry import link_table, load_scene, select_ris
 from .scenes import random_scene
 from .transmit import load_dataset
 from .vision import recover_scene, render_top_view, save_raster
@@ -152,9 +152,9 @@ def cmd_select_ris(args) -> None:
         analyzed = recover_scene(raster, scene.ris_positions, scene.kappa)
     else:
         analyzed = scene
-    chosen = select_ris(analyzed)
-    metrics = [cascade_pathloss(analyzed, l)
-               for l in range(analyzed.num_ris)]
+    links = link_table(analyzed)
+    chosen = links.selected
+    metrics = links.cascade
     print(f"selected surface {chosen} (via {args.via})")
     print("surface  cascade pathloss")
     for l, m in enumerate(metrics):

@@ -11,15 +11,19 @@ byte-identical.
 
 from __future__ import annotations
 
+import logging
+import time
+
 import numpy as np
 
 from .config import RunConfig, config_hash
-from .geometry import (effective_pathloss_ru, effective_pathloss_tr,
-                       effective_pathloss_tu, select_ris)
+from .geometry import link_table
 from .scenes import random_scene
 from .transmit import ChannelBatch, sample_channels, save_dataset
 
 _ROLES = {"train": 0, "test": 1}
+
+log = logging.getLogger(__name__)
 
 
 def _sample_rng(seed, role_tag, index, stage):
@@ -29,12 +33,9 @@ def _sample_rng(seed, role_tag, index, stage):
 def scene_pathlosses(scene):
     """Effective pathlosses through the geometrically selected surface:
     (selected index, tr, [ru_k], [tu_k])."""
-    chosen = select_ris(scene)
-    tr = effective_pathloss_tr(scene, chosen)
-    ru = [effective_pathloss_ru(scene, chosen, k)
-          for k in range(scene.num_users)]
-    tu = [effective_pathloss_tu(scene, k) for k in range(scene.num_users)]
-    return chosen, tr, ru, tu
+    links = link_table(scene)
+    chosen = links.selected
+    return chosen, links.tr[chosen], list(links.ru[chosen]), list(links.tu)
 
 
 def calibrate_rho0(pathloss_sets, dims, eta, noise_power, target_db):
@@ -70,9 +71,8 @@ def generate_dataset(config: RunConfig, role="train"):
     sysc = config.system
     dims = (sysc.elements, sysc.antennas)
 
-    scenes = [random_scene(config.scene, _sample_rng(config.seed, tag, i, 0))
-              for i in range(count)]
-    per_scene = [scene_pathlosses(scene) for scene in scenes]
+    per_scene = [scene_pathlosses(random_scene(
+        config.scene, _sample_rng(config.seed, tag, i, 0))) for i in range(count)]
     rho0 = calibrate_rho0([(tr, ru, tu) for _, tr, ru, tu in per_scene],
                           dims, sysc.eta, sysc.noise_power,
                           sysc.link_budget_db)
@@ -100,6 +100,11 @@ def generate_dataset(config: RunConfig, role="train"):
 
 def write_dataset(path, config: RunConfig, role="train"):
     """Generate a split and store it; returns the sidecar metadata."""
+    started = time.perf_counter()
     batch, meta = generate_dataset(config, role)
     save_dataset(path, batch, meta=meta)
+    chosen = meta["selected_surfaces"]
+    log.info("%s: %d samples in %.2f s, selected surfaces per index %s",
+             role, len(batch), time.perf_counter() - started,
+             [chosen.count(l) for l in range(config.scene.n_ris)])
     return meta

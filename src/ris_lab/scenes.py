@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (Point2, Polygon, Scene, _point_segment_dist,
-                       _polygons_overlap)
+from .geometry import (Point2, Polygon, Scene, point_gap_below,
+                       polygon_gap_below)
 from .vision import USER_RADIUS_M
 
 _MAX_TRIES = 2000
@@ -72,22 +72,6 @@ def _bbox_fill(poly: Polygon) -> float:
     return poly.area() / area_box if area_box > 0.0 else 0.0
 
 
-def _point_polygon_gap(point: Point2, poly: Polygon) -> float:
-    if poly.strictly_contains(point):
-        return 0.0
-    return min(_point_segment_dist(point.x, point.y, p.x, p.y, q.x, q.y)
-               for p, q in poly.edges())
-
-
-def _polygon_gap(a: Polygon, b: Polygon) -> float:
-    """Separation between two polygons: zero when they overlap, else the
-    min vertex-to-edge distance both ways (exact for convex shapes)."""
-    if _polygons_overlap(a, b):
-        return 0.0
-    return min(min(_point_polygon_gap(v, b) for v in a.vertices),
-               min(_point_polygon_gap(v, a) for v in b.vertices))
-
-
 def random_scene(config: SceneGenConfig, rng: np.random.Generator) -> Scene:
     """Draw one scene: surfaces on a jittered ring, convex obstacles with
     detection-safe bounding-box fill, users clear of every obstacle."""
@@ -112,10 +96,10 @@ def random_scene(config: SceneGenConfig, rng: np.random.Generator) -> Scene:
                                     rng.uniform(0.7, 1.0), rng)
             if _bbox_fill(poly) < config.min_fill:
                 continue
-            if any(_polygon_gap(poly, other) < config.clearance
+            if any(polygon_gap_below(poly, other, config.clearance)
                    for other in obstacles):
                 continue
-            if any(_point_polygon_gap(p, poly) < 0.5 for p in ris):
+            if any(point_gap_below(p, poly, 0.5) for p in ris):
                 continue  # surfaces must stay outside every obstacle
             obstacles.append(poly)
             break
@@ -132,8 +116,8 @@ def random_scene(config: SceneGenConfig, rng: np.random.Generator) -> Scene:
             if any(np.hypot(pos.x - p.x, pos.y - p.y) < config.standoff
                    for p in ris):
                 continue
-            if any(_point_polygon_gap(pos, poly) <
-                   USER_RADIUS_M + config.clearance for poly in obstacles):
+            if any(point_gap_below(pos, poly, USER_RADIUS_M + config.clearance)
+                   for poly in obstacles):
                 continue
             if any(np.hypot(pos.x - u.x, pos.y - u.y) <
                    2.0 * USER_RADIUS_M + config.clearance for u in users):

@@ -58,6 +58,19 @@ def test_missing_scene_file_exits_2(workdir, capsys):
     assert "absent.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["select-ris", "--scene", "array.json", "--via", "geometry"],
+    ["render", "--scene", "array.json", "--out", "frame.pgm"],
+])
+def test_non_object_scene_document_exits_2(workdir, capsys, command):
+    (workdir / "array.json").write_text("[1, 2]\n")
+    assert cli.main(command) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed scene document")
+    assert err.count("\n") == 1
+    assert not (workdir / "frame.pgm").exists()
+
+
 def test_scene_and_agreement_are_exclusive(workdir):
     write_scene("scene.json")
     assert cli.main(["select-ris", "--scene", "scene.json",
@@ -186,6 +199,26 @@ def test_gen_data_writes_both_splits(workdir, capsys):
     text = capsys.readouterr().out
     assert "train: 40 samples" in text
     assert "test: 6 samples" in text
+
+
+def test_verbose_gen_data_logs_one_line_per_split(workdir, capsys):
+    save_config("run.json", small_config())
+    assert cli.main(["gen-data", "--config", "run.json"]) == 0
+    quiet = capsys.readouterr()
+    written = {p.name: p.read_bytes() for p in workdir.glob("*.risd*")}
+    assert len(written) == 4 and quiet.err == ""
+    assert cli.main(["-v", "gen-data", "--config", "run.json"]) == 0
+    loud = capsys.readouterr()
+    assert loud.out == quiet.out
+    assert {p.name: p.read_bytes() for p in workdir.glob("*.risd*")} == written
+    lines = loud.err.splitlines()
+    assert len(lines) == 2
+    for line, role, count in zip(lines, ("train", "test"), (40, 6)):
+        head, hist = line.split(" selected surfaces per index ")
+        assert head.startswith(f"INFO ris_lab.datagen: {role}: {count} "
+                               "samples in ")
+        chosen = json.loads(written[f"{role}.risd.json"])["selected_surfaces"]
+        assert json.loads(hist) == [chosen.count(l) for l in range(6)]
 
 
 # --- train / benchmark ----------------------------------------------------
