@@ -23,9 +23,10 @@ from . import fileio
 _EPS = 1e-9
 
 # Bounding-box early-outs. A polygon's box, and each edge's, is padded by
-# _PAD times the largest coordinate magnitude involved (at least 1). Rounding moves a computed distance, projection or segment
-# midpoint by a few ulps of that magnitude, about 1e-15 of it, so a point
-# outside a padded box is more than 1e-6 > _EPS from the box's edges in
+# _PAD times the largest coordinate magnitude involved (at least 1).
+# Rounding moves a computed distance, projection or segment midpoint by a
+# few ulps of that magnitude, about 1e-15 of it, so a point outside a
+# padded box is more than 1e-6 > _EPS from the box's edges in
 # floating point too: on_boundary is False there, the even-odd count in
 # strictly_contains is even, and a segment whose box misses a polygon's
 # padded box has only outside midpoints, so its penetration is 0.0. Two
