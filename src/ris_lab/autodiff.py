@@ -5,10 +5,13 @@ its value, its parents and a closure that propagates the upstream gradient.
 backward() topologically sorts the implicit tape and visits each node once in
 reverse order.
 
-The tape is real-valued: it carries the policy network and its loss. A
-complex computation enters as one node whose forward and backward are
-written in complex numpy by its owner (transmit.weighted_sum_rate_graph),
-so finite-difference checking stays coordinate-wise real.
+The tape is real-valued. It is the gradient oracle for the policy's
+hand-written training step: policy.loss builds the network and its loss
+on it, and tests check the step against its backward. No run path uses
+it. A complex computation enters as one node whose forward and backward
+are written in complex numpy by its owner
+(transmit.weighted_sum_rate_graph), so finite-difference checking stays
+coordinate-wise real.
 
 Elementwise ops broadcast like numpy; backward un-broadcasts by summing the
 gradient over the broadcast axes. matmul follows numpy stacked-matrix
@@ -50,10 +53,6 @@ class Tensor:
         self._backward = None
         self.version = 0
 
-    @property
-    def shape(self):
-        return self.data.shape
-
     def _accum(self, g):
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
@@ -85,29 +84,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape})"
-
-    # operator sugar
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def as_tensor(x) -> Tensor:
@@ -212,13 +188,6 @@ def softmax(a, axis=-1) -> Tensor:
 
 
 # --- shape / reduction primitives ---------------------------------------------
-
-def reshape(a, shape) -> Tensor:
-    a = as_tensor(a)
-    out = Tensor(a.data.reshape(shape), (a,))
-    out._backward = lambda g: a._accum(g.reshape(a.data.shape))
-    return out
-
 
 def transpose_last2(a) -> Tensor:
     a = as_tensor(a)

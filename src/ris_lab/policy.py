@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import struct
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -156,9 +158,10 @@ def vectorize_batch(batch: tm.ChannelBatch) -> np.ndarray:
 # --- forward passes -----------------------------------------------------------------
 
 def _forward(params: MLPParams, x):
-    """Taped training forward pass on a (batch, a1) input, normalizing with
-    batch statistics. Returns (raw_p, raw_phi, batch_stats), the raw head
-    outputs in (0, 1) and each hidden layer's (mean, variance)."""
+    """Taped forward pass on a (batch, a1) input, normalizing with batch
+    statistics as training does; loss() builds on it. Returns (raw_p,
+    raw_phi, batch_stats), the raw head outputs in (0, 1) and each hidden
+    layer's (mean, variance)."""
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != params.a1:
         raise ValueError(f"input must have {params.a1} features, got {arr.shape}")
@@ -247,27 +250,101 @@ def normalize_outputs_graph(raw_p, raw_phi, p_max):
 
 # --- loss ---------------------------------------------------------------------------
 
-def _loss_with_stats(params: MLPParams, batch: tm.ChannelBatch):
-    x = vectorize_batch(batch)
-    raw_p, raw_phi, stats = _forward(params, x)
-    p, phi = normalize_outputs_graph(raw_p, raw_phi, batch.p_max)
-    objective = tm.weighted_sum_rate_graph(batch, p, phi)
-    return ad.neg(ad.tmean(objective)), stats
-
-
 def loss(params: MLPParams, batch: tm.ChannelBatch) -> ad.Tensor:
-    """Negative mean weighted sum rate over the batch, as a scalar Tensor."""
+    """Negative mean weighted sum rate over the batch, as a scalar Tensor.
+
+    The taped loss is the gradient oracle for _train_step; training does
+    not build it.
+    """
     if len(batch) < 1:
         raise ValueError("loss needs a nonempty batch")
-    value, _ = _loss_with_stats(params, batch)
-    return value
+    raw_p, raw_phi, _ = _forward(params, vectorize_batch(batch))
+    p, phi = normalize_outputs_graph(raw_p, raw_phi, batch.p_max)
+    objective = tm.weighted_sum_rate_graph(batch, p, phi)
+    return ad.neg(ad.tmean(objective))
+
+
+def _sigmoid(x):
+    """The logistic function with the tape's arithmetic."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _train_step(params: MLPParams, batch: tm.ChannelBatch):
+    """Loss and gradients of one training minibatch, without a tape.
+
+    The forward pass repeats _forward's arithmetic and keeps each layer's
+    activations; the backward writes every gradient in closed form and
+    skips the input's. Returns (loss, grads in param_list order, each
+    hidden layer's batch (mean, variance)); the loss equals loss()'s value.
+    A loss that is not finite comes back with grads None: the backward
+    would only spread the overflow.
+    """
+    x = vectorize_batch(batch)
+    inv_n = 1.0 / x.shape[0]
+    d = x
+    layers, stats = [], []
+    for g in range(len(params.hidden)):
+        z = d @ params.weights[g].data.T
+        z += params.biases[g].data
+        mu = z.sum(axis=0) * inv_n
+        z -= mu
+        var = (z * z).sum(axis=0) * inv_n
+        inv = 1.0 / np.sqrt(var + _BN_EPS)
+        z *= inv                                   # xhat
+        y = z * params.bn_scale[g].data
+        y += params.bn_shift[g].data
+        stats.append((mu, var))
+        layers.append((d, z, inv, np.maximum(y, 0.0, out=y)))
+        d = y
+    raw_p = _sigmoid(d @ params.head_p_w.data.T + params.head_p_b.data)
+    raw_phi = _sigmoid(d @ params.head_phi_w.data.T + params.head_phi_b.data)
+    e = np.exp(raw_p - raw_p.max(axis=-1, keepdims=True))
+    soft = e / e.sum(axis=-1, keepdims=True)
+    p = soft * batch.p_max
+    fw = tm._wsr_forward(batch, p, raw_phi * _TWO_PI)
+    value = float(-(np.sum(batch.user_weight * fw.rates, axis=-1).sum() * inv_n))
+    if not math.isfinite(value):
+        return value, None, stats
+
+    # loss = -mean(objective): each sample's objective gradient scaled by
+    # -1/n, then taken back through p = p_max softmax(raw_p),
+    # phi = 2 pi raw_phi and the two sigmoids
+    gp, gphi = tm._wsr_backward(batch, fw, p)
+    g_p = gp * (-inv_n * batch.p_max)
+    g_p -= np.sum(g_p * soft, axis=-1, keepdims=True)
+    g_p *= soft
+    g_p = g_p * raw_p * (1.0 - raw_p)
+    g_phi = gphi * (-inv_n * _TWO_PI) * raw_phi * (1.0 - raw_phi)
+    head = [g_p.T @ d, g_p.sum(axis=0), g_phi.T @ d, g_phi.sum(axis=0)]
+    gd = g_p @ params.head_p_w.data
+    gd += g_phi @ params.head_phi_w.data
+    grads = []
+    for g in reversed(range(len(params.hidden))):
+        d, xhat, inv, out = layers[g]
+        gd *= out > 0.0                            # relu
+        g_shift = gd.sum(axis=0)
+        g_scale = (gd * xhat).sum(axis=0)
+        gd *= params.bn_scale[g].data              # the gradient of xhat
+        # batchnorm with batch statistics:
+        # gz = inv (gx - mean(gx) - xhat mean(gx xhat))
+        mean_gx = gd.sum(axis=0) * inv_n
+        xhat *= (gd * xhat).sum(axis=0) * inv_n
+        gd -= mean_gx
+        gd -= xhat
+        gd *= inv
+        grads[:0] = [gd.T @ d, gd.sum(axis=0), g_scale, g_shift]
+        if g > 0:
+            gd = gd @ params.weights[g].data
+    return value, grads + head, stats
 
 
 # --- optimizer ----------------------------------------------------------------------
 
 @dataclass
 class OptimizerState:
-    """Adam accumulators; moments are kept per trainable tensor."""
+    """Adam accumulators; moments are kept per trainable tensor, with one
+    scratch buffer for the update's intermediates."""
 
     lr: float = 1e-3
     beta1: float = 0.9
@@ -276,6 +353,7 @@ class OptimizerState:
     step: int = 0
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
+    scratch: np.ndarray = field(default=None, repr=False)
 
 
 def init_optimizer(params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8) -> OptimizerState:
@@ -289,24 +367,38 @@ def adam_step(params, grads, state: OptimizerState):
     """One Adam update; returns (params, state).
 
     params may be an MLPParams or a plain list of Tensors; grads is a
-    matching list of arrays. Each tensor's data is updated in place and
-    its version bumped.
+    matching list of arrays. The moments and each tensor's data are
+    updated in place, with the arithmetic of m = b1 m + (1 - b1) g,
+    v = b2 v + (1 - b2) g g and data -= lr m_hat / (sqrt(v_hat) + eps)
+    in that order, and each tensor's version is bumped.
     """
     tensors = param_list(params) if isinstance(params, MLPParams) else list(params)
     if len(grads) != len(tensors) or len(state.m) != len(tensors):
         raise ValueError("gradient list does not match the parameter list")
+    size = max((t.data.size for t in tensors), default=0)
+    if state.scratch is None or state.scratch.size < 2 * size:
+        state.scratch = np.empty(2 * size)
     state.step += 1
     t = state.step
+    c1 = 1.0 - state.beta1 ** t
+    c2 = 1.0 - state.beta2 ** t
     for i, (tensor, grad) in enumerate(zip(tensors, grads)):
         g = np.asarray(grad, dtype=np.float64)
         if g.shape != tensor.data.shape:
             raise ValueError(f"gradient {i} has shape {g.shape}, "
                              f"expected {tensor.data.shape}")
-        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * g * g
-        m_hat = state.m[i] / (1.0 - state.beta1 ** t)
-        v_hat = state.v[i] / (1.0 - state.beta2 ** t)
-        tensor.data -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        m, v = state.m[i], state.v[i]
+        a = state.scratch[:g.size].reshape(g.shape)
+        b = state.scratch[g.size:2 * g.size].reshape(g.shape)
+        m *= state.beta1
+        m += np.multiply(g, 1.0 - state.beta1, out=a)
+        v *= state.beta2
+        np.multiply(g, 1.0 - state.beta2, out=a)
+        v += np.multiply(a, g, out=a)
+        np.sqrt(np.divide(v, c2, out=a), out=a)
+        a += state.eps
+        np.multiply(np.divide(m, c1, out=b), state.lr, out=b)
+        tensor.data -= np.divide(b, a, out=b)
         tensor.version += 1
     return params, state
 
@@ -370,31 +462,31 @@ def train(config: TrainConfig, dataset: tm.ChannelBatch):
     dims = (dataset.K, dataset.N, dataset.NT)
     params = init_params(dims, config.hidden, rng)
     state = init_optimizer(params, lr=config.learning_rate)
-    tensors = param_list(params)
     batches = (config.batches_per_epoch if config.batches_per_epoch is not None
                else max(1, total // config.batch_size))
     history = []
     for epoch in range(config.epochs):
+        started = time.perf_counter()
         epoch_losses = []
-        for idx in _minibatch_stream(rng, total, config.batch_size, batches):
-            sub = dataset.subset(idx)
-            value, stats = _loss_with_stats(params, sub)
-            for tensor in tensors:
-                tensor.grad = None
-            value.backward()
-            grads = [np.zeros_like(t.data) if t.grad is None else t.grad
-                     for t in tensors]
+        for b, idx in enumerate(_minibatch_stream(rng, total, config.batch_size,
+                                                  batches)):
+            value, grads, stats = _train_step(params, dataset.subset(idx))
+            if grads is None:
+                raise ValueError(f"training loss is {value} at epoch "
+                                 f"{epoch + 1}, batch {b + 1}")
             adam_step(params, grads, state)
-            for tensor in tensors:
-                tensor.grad = None
             rho = config.bn_momentum
             for g, (mu, var) in enumerate(stats):
                 params.bn_mean[g] = rho * params.bn_mean[g] + (1.0 - rho) * mu
                 params.bn_var[g] = rho * params.bn_var[g] + (1.0 - rho) * var
-            epoch_losses.append(float(value.data))
+            epoch_losses.append(value)
         mean_loss = float(np.mean(epoch_losses))
         history.append(mean_loss)
-        log.info("epoch %d/%d: loss %.6f", epoch + 1, config.epochs, mean_loss)
+        if log.isEnabledFor(logging.INFO):
+            norm = math.sqrt(sum(float(np.vdot(gr, gr)) for gr in grads))
+            log.info("epoch %d/%d: loss %.6f, %.3f s, gradient norm %.4g",
+                     epoch + 1, config.epochs, mean_loss,
+                     time.perf_counter() - started, norm)
     return params, history
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 import struct
 
 import numpy as np
@@ -277,6 +278,26 @@ def test_train_rejects_corrupt_dataset_values(workdir, capsys, column, value,
     assert err == f"error: {message}\n"
 
 
+def test_train_stops_on_a_non_finite_loss(workdir, capsys):
+    # one sample's user weights are finite but so large that its weighted
+    # sum rate, and so the loss of its minibatch, overflows
+    save_config("run.json", small_config())
+    assert cli.main(["gen-data", "--config", "run.json", "--role", "train"]) == 0
+    path = workdir / "train.risd"
+    raw = bytearray(path.read_bytes())
+    k, n, nt, s = struct.unpack("<IIII", raw[8:24])
+    block = np.frombuffer(raw, dtype="<f8", offset=24).reshape(s, -1).copy()
+    block[3, 2 * (n * nt + k * n + k * nt) + k:] = 1e308
+    path.write_bytes(bytes(raw[:24]) + block.tobytes())
+    capsys.readouterr()
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli.main(["train", "--config", "run.json"]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: training loss is -inf at epoch 1, batch [1-5]\n",
+                        err), err
+    assert not (workdir / "model.rism").exists()
+
+
 def test_checkpoint_written_with_loss_log(pipeline):
     cfg, paths = pipeline
     assert paths["model"].exists()
@@ -309,6 +330,7 @@ def test_verbose_flag_logs_training_epochs_on_stderr(workdir, capsys):
                      "--out", "loud.rism"]) == 0
     loud = capsys.readouterr()
     assert "epoch 1/2" in loud.err and "epoch 2/2" in loud.err
+    assert loud.err.count("gradient norm ") == 2
     assert "epoch 1/" not in loud.out
     for suffix in (".rism", ".rism.json"):
         assert (workdir / f"quiet{suffix}").read_bytes() == \

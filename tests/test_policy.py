@@ -270,6 +270,69 @@ def test_loss_gradient_matches_finite_differences():
     assert report.passed, str(report)
 
 
+def _taped_gradients(params, batch):
+    value = pl.loss(params, batch)
+    tensors = pl.param_list(params)
+    for t in tensors:
+        t.grad = None
+    value.backward()
+    grads = [np.zeros_like(t.data) if t.grad is None else t.grad
+             for t in tensors]
+    for t in tensors:
+        t.grad = None
+    return value.data.item(), grads
+
+
+@pytest.mark.parametrize("dims,hidden,count", [
+    ((2, 3, 3), (6, 5), 3),
+    ((4, 8, 8), (512, 256, 128), 24),
+    ((1, 2, 2), (4,), 3),
+])
+def test_train_step_matches_taped_gradients(dims, hidden, count):
+    # the hand-written step against the tape, block by block, with the
+    # parameters moved off their initialization so no block is trivial
+    rng = np.random.default_rng(89)
+    k, n, nt = dims
+    batch = make_batch(rng, count, k=k, n=n, nt=nt,
+                       weights=rng.uniform(0.5, 1.5, k))
+    params = pl.init_params(dims, hidden, rng)
+    for t in pl.param_list(params):
+        t.data += 0.1 * rng.standard_normal(t.data.shape)
+    value, grads, stats = pl._train_step(params, batch)
+    want_value, want = _taped_gradients(params, batch)
+    assert value == want_value
+    _, _, want_stats = pl._forward(params, pl.vectorize_batch(batch))
+    for (mu, var), (want_mu, want_var) in zip(stats, want_stats):
+        assert np.array_equal(mu, want_mu) and np.array_equal(var, want_var)
+    hidden_biases = {4 * g + 1 for g in range(len(hidden))}
+    for i, (got, ref) in enumerate(zip(grads, want)):
+        assert got.shape == ref.shape, i
+        if i in hidden_biases:
+            # batchnorm subtracts the bias again: the exact gradient is 0
+            assert np.max(np.abs(got)) <= 1e-12, i
+            assert np.max(np.abs(ref)) <= 1e-12, i
+            continue
+        scale = np.max(np.abs(ref))
+        if scale == 0.0:
+            # one user: the softmax power split is constant
+            assert k == 1 and not np.any(got), i
+            continue
+        assert np.max(np.abs(got - ref)) <= 1e-10 * scale, i
+
+
+def test_train_never_reaches_the_tape(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("training reached the tape")
+
+    monkeypatch.setattr(ad.Tensor, "backward", refuse)
+    monkeypatch.setattr(tm, "weighted_sum_rate_graph", refuse)
+    rng = np.random.default_rng(97)
+    dataset = make_batch(rng, 16, k=2, n=2, nt=2)
+    _, history = pl.train(pl.TrainConfig(epochs=2, batch_size=8,
+                                         hidden=(8, 4), seed=3), dataset)
+    assert len(history) == 2
+
+
 # --- optimizer ----------------------------------------------------------------------
 
 def test_adam_zero_gradient_keeps_parameters():
@@ -306,6 +369,38 @@ def test_adam_rejects_shape_mismatch():
         pl.adam_step(theta, [np.zeros(3), np.zeros(1)], state)
 
 
+def _adam_out_of_place(tensors, grads, m, v, t, lr=1e-3, beta1=0.9,
+                       beta2=0.999, eps=1e-8):
+    # the earlier adam_step: a new array for each intermediate
+    for i, (tensor, g) in enumerate(zip(tensors, grads)):
+        m[i] = beta1 * m[i] + (1.0 - beta1) * g
+        v[i] = beta2 * v[i] + (1.0 - beta2) * g * g
+        m_hat = m[i] / (1.0 - beta1 ** t)
+        v_hat = v[i] / (1.0 - beta2 ** t)
+        tensor.data = tensor.data - lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def test_adam_in_place_update_is_bit_identical():
+    rng = np.random.default_rng(101)
+    shapes = [(64, 48), (64,), (3, 64), (1,), ()]
+    start = [rng.standard_normal(shape) for shape in shapes]
+    theta = [ad.Tensor(a.copy()) for a in start]
+    ref = [ad.Tensor(a.copy()) for a in start]
+    state = pl.init_optimizer(theta, lr=3e-3)
+    m = [np.zeros(shape) for shape in shapes]
+    v = [np.zeros(shape) for shape in shapes]
+    for step in range(1, 6):
+        grads = [rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 3)
+                 for shape in shapes]
+        pl.adam_step(theta, grads, state)
+        _adam_out_of_place(ref, grads, m, v, step, lr=3e-3)
+        for i in range(len(shapes)):
+            assert np.array_equal(theta[i].data, ref[i].data)
+            assert np.array_equal(state.m[i], m[i])
+            assert np.array_equal(state.v[i], v[i])
+            assert theta[i].version == step
+
+
 # --- training -----------------------------------------------------------------------
 
 def test_train_zero_epochs_returns_initialization():
@@ -340,6 +435,51 @@ def test_train_is_deterministic():
         assert np.array_equal(ta.data, tb.data)
     for g in range(1):
         assert np.array_equal(a.bn_mean[g], b.bn_mean[g])
+
+
+def test_train_stops_on_a_non_finite_loss():
+    # finite weights whose weighted sum rate overflows to infinity
+    rng = np.random.default_rng(103)
+    dataset = make_batch(rng, 16, k=2, n=2, nt=2)
+    config = pl.TrainConfig(epochs=2, batch_size=8, hidden=(8,), seed=5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dataset = tm.ChannelBatch(H=dataset.H, h=dataset.h, g=dataset.g,
+                                  sigma2=dataset.sigma2,
+                                  user_weight=np.full((16, 2), 1e308))
+        with pytest.raises(ValueError,
+                           match=r"^training loss is -inf at epoch 1, batch 1$"):
+            pl.train(config, dataset)
+
+
+def test_train_logs_loss_time_and_gradient_norm(caplog, monkeypatch):
+    # each epoch's line carries the mean loss, the wall time and the norm
+    # of the last step's gradients, read off the grads handed to adam_step
+    norms = []
+    adam = pl.adam_step
+
+    def spy(params, grads, state):
+        norms.append(np.sqrt(sum(np.sum(g * g) for g in grads)))
+        return adam(params, grads, state)
+
+    monkeypatch.setattr(pl, "adam_step", spy)
+    rng = np.random.default_rng(107)
+    dataset = make_batch(rng, 24, k=2, n=2, nt=2)
+    config = pl.TrainConfig(epochs=2, batch_size=8, hidden=(8, 4), seed=7)
+    with caplog.at_level("INFO", logger="ris_lab.policy"):
+        _, history = pl.train(config, dataset)
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "ris_lab.policy"]
+    assert len(lines) == 2 and len(norms) == 6
+    for epoch, line in enumerate(lines):
+        head, seconds, norm = line.split(", ")
+        assert head == f"epoch {epoch + 1}/2: loss {history[epoch]:.6f}"
+        assert seconds.endswith(" s") and float(seconds[:-2]) >= 0.0
+        assert norm.startswith("gradient norm ")
+        logged = float(norm[len("gradient norm "):])
+        assert logged == pytest.approx(norms[3 * epoch + 2], rel=1e-3)
+    caplog.clear()
+    _, quiet_history = pl.train(config, dataset)
+    assert quiet_history == history and not caplog.records
 
 
 def test_train_rejects_small_dataset():
