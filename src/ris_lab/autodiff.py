@@ -53,6 +53,10 @@ class Tensor:
         self._backward = None
         self.version = 0
 
+    @property
+    def shape(self):
+        return self.data.shape
+
     def _accum(self, g):
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
@@ -84,6 +88,29 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape})"
+
+    # operator sugar
+    def __add__(self, other):
+        return add(self, other)
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        return mul(self, other)
+
+    __rmul__ = __mul__
+
+    def __sub__(self, other):
+        return sub(self, other)
+
+    def __rsub__(self, other):
+        return sub(other, self)
+
+    def __neg__(self):
+        return neg(self)
+
+    def __matmul__(self, other):
+        return matmul(self, other)
 
 
 def as_tensor(x) -> Tensor:
@@ -162,11 +189,23 @@ def relu(a) -> Tensor:
     return out
 
 
+def logistic(x: np.ndarray) -> np.ndarray:
+    """The logistic function on an array, written so that it never
+    overflows; sigmoid's forward pass and the policy's training step."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def softmax_values(x: np.ndarray, axis=-1) -> np.ndarray:
+    """Softmax of an array along axis, shifted by its maximum; softmax's
+    forward pass and the policy's training step."""
+    e = np.exp(x - np.max(x, axis=axis, keepdims=True))
+    return e / np.sum(e, axis=axis, keepdims=True)
+
+
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
-    x = a.data
-    y = np.where(x >= 0.0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                 np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    y = logistic(a.data)
     out = Tensor(y, (a,))
     out._backward = lambda g: a._accum(g * y * (1.0 - y))
     return out
@@ -174,9 +213,7 @@ def sigmoid(a) -> Tensor:
 
 def softmax(a, axis=-1) -> Tensor:
     a = as_tensor(a)
-    shifted = a.data - np.max(a.data, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / np.sum(e, axis=axis, keepdims=True)
+    y = softmax_values(a.data, axis=axis)
     out = Tensor(y, (a,))
 
     def _bw(g):
@@ -188,6 +225,13 @@ def softmax(a, axis=-1) -> Tensor:
 
 
 # --- shape / reduction primitives ---------------------------------------------
+
+def reshape(a, shape) -> Tensor:
+    a = as_tensor(a)
+    out = Tensor(a.data.reshape(shape), (a,))
+    out._backward = lambda g: a._accum(g.reshape(a.data.shape))
+    return out
+
 
 def transpose_last2(a) -> Tensor:
     a = as_tensor(a)

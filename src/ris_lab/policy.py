@@ -264,12 +264,6 @@ def loss(params: MLPParams, batch: tm.ChannelBatch) -> ad.Tensor:
     return ad.neg(ad.tmean(objective))
 
 
-def _sigmoid(x):
-    """The logistic function with the tape's arithmetic."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
 def _train_step(params: MLPParams, batch: tm.ChannelBatch):
     """Loss and gradients of one training minibatch, without a tape.
 
@@ -297,13 +291,16 @@ def _train_step(params: MLPParams, batch: tm.ChannelBatch):
         stats.append((mu, var))
         layers.append((d, z, inv, np.maximum(y, 0.0, out=y)))
         d = y
-    raw_p = _sigmoid(d @ params.head_p_w.data.T + params.head_p_b.data)
-    raw_phi = _sigmoid(d @ params.head_phi_w.data.T + params.head_phi_b.data)
-    e = np.exp(raw_p - raw_p.max(axis=-1, keepdims=True))
-    soft = e / e.sum(axis=-1, keepdims=True)
+    raw_p = ad.logistic(d @ params.head_p_w.data.T + params.head_p_b.data)
+    raw_phi = ad.logistic(d @ params.head_phi_w.data.T + params.head_phi_b.data)
+    soft = ad.softmax_values(raw_p, axis=-1)
     p = soft * batch.p_max
-    fw = tm._wsr_forward(batch, p, raw_phi * _TWO_PI)
-    value = float(-(np.sum(batch.user_weight * fw.rates, axis=-1).sum() * inv_n))
+    # a dataset that overflows the objective is reported by the caller
+    # through the non-finite loss, not by numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        fw = tm._wsr_forward(batch, p, raw_phi * _TWO_PI)
+        value = float(-(np.sum(batch.user_weight * fw.rates, axis=-1).sum()
+                        * inv_n))
     if not math.isfinite(value):
         return value, None, stats
 
@@ -353,7 +350,11 @@ class OptimizerState:
     step: int = 0
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
-    scratch: np.ndarray = field(default=None, repr=False)
+    scratch: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        size = max((m.size for m in self.m), default=0)
+        self.scratch = np.empty(2 * size)
 
 
 def init_optimizer(params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8) -> OptimizerState:
@@ -375,9 +376,6 @@ def adam_step(params, grads, state: OptimizerState):
     tensors = param_list(params) if isinstance(params, MLPParams) else list(params)
     if len(grads) != len(tensors) or len(state.m) != len(tensors):
         raise ValueError("gradient list does not match the parameter list")
-    size = max((t.data.size for t in tensors), default=0)
-    if state.scratch is None or state.scratch.size < 2 * size:
-        state.scratch = np.empty(2 * size)
     state.step += 1
     t = state.step
     c1 = 1.0 - state.beta1 ** t

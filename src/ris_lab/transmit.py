@@ -84,7 +84,9 @@ class ChannelSet:
             raise ValueError("sigma2 and user_weight must have length K")
         if np.any(sigma2 <= 0.0):
             raise ValueError("sigma2 must be positive")
-        if np.any(weight < 0.0) or weight.sum() <= 0.0:
+        # with no negative weight, a positive sum means a positive maximum,
+        # which unlike the sum cannot overflow
+        if np.any(weight < 0.0) or weight.max(initial=0.0) <= 0.0:
             raise ValueError("user weights must be nonnegative with positive sum")
         p_max = float(self.p_max)
         if not np.isfinite(p_max) or p_max <= 0.0:
@@ -415,7 +417,9 @@ class ChannelBatch:
                 raise ValueError(f"{name} has non-finite entries")
         if np.any(sigma2 <= 0.0):
             raise ValueError("sigma2 must be positive")
-        if np.any(weight < 0.0) or np.any(weight.sum(axis=1) <= 0.0):
+        # with no negative weight, a positive sum means some positive
+        # weight, which unlike the sum cannot overflow
+        if np.any(weight < 0.0) or not np.all(np.any(weight > 0.0, axis=1)):
             raise ValueError("user weights must be nonnegative with positive sum")
         p_max = float(self.p_max)
         if not np.isfinite(p_max) or p_max <= 0.0:

@@ -86,6 +86,7 @@ def _op_cases(rng):
         ("matmul_batched", lambda a, b: _scalarize(ad.matmul(a, b), c2),
          [sym((2, 3, 5)), sym((5, 4))]),
         ("transpose_last2", lambda a: _scalarize(ad.transpose_last2(a), c1.T), [sym((2, 3))]),
+        ("reshape", lambda a: _scalarize(ad.reshape(a, (3, 2)), c1.T), [sym((2, 3))]),
         ("sum_axis", lambda a: _scalarize(ad.tsum(a, axis=0), c3), [sym((4, 3))]),
         ("mean_axis", lambda a: _scalarize(ad.tmean(a, axis=1), c4), [sym((4, 3))]),
         ("batchnorm_train",

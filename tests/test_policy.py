@@ -2,6 +2,8 @@
 mapping, loss against the transmit-model objective, Adam, training loop,
 inference, and checkpoint files."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -442,10 +444,12 @@ def test_train_stops_on_a_non_finite_loss():
     rng = np.random.default_rng(103)
     dataset = make_batch(rng, 16, k=2, n=2, nt=2)
     config = pl.TrainConfig(epochs=2, batch_size=8, hidden=(8,), seed=5)
-    with np.errstate(over="ignore", invalid="ignore"):
-        dataset = tm.ChannelBatch(H=dataset.H, h=dataset.h, g=dataset.g,
-                                  sigma2=dataset.sigma2,
-                                  user_weight=np.full((16, 2), 1e308))
+    dataset = tm.ChannelBatch(H=dataset.H, h=dataset.h, g=dataset.g,
+                              sigma2=dataset.sigma2,
+                              user_weight=np.full((16, 2), 1e308))
+    # the overflow is reported by the error alone, with no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(ValueError,
                            match=r"^training loss is -inf at epoch 1, batch 1$"):
             pl.train(config, dataset)

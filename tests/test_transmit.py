@@ -5,6 +5,8 @@ cascade row, and per-user rate recomputation through full beamformers used
 to cross-check the power-plus-direction objective path.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -314,6 +316,11 @@ def test_channel_set_validation():
     with pytest.raises(ValueError):
         tm.ChannelSet(H=ok.H, h=ok.h, g=ok.g, sigma2=ok.sigma2,
                       user_weight=[0.0, 0.0])
+    # finite weights whose sum overflows are valid, and accepted quietly
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tm.ChannelSet(H=ok.H, h=ok.h, g=ok.g, sigma2=ok.sigma2,
+                      user_weight=[1e308, 1e308])
 
 
 # --- batched differentiable evaluation ----------------------------------------------
@@ -579,6 +586,9 @@ def test_channel_batch_validation():
     weight[2] = [1.0, -0.5]
     with pytest.raises(ValueError, match="user weights"):
         build(user_weight=weight)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        build(user_weight=np.full_like(weight, 1e308))
     for p_max in (0.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="p_max"):
             build(p_max=p_max)
