@@ -53,10 +53,6 @@ class Tensor:
         self._backward = None
         self.version = 0
 
-    @property
-    def shape(self):
-        return self.data.shape
-
     def _accum(self, g):
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
@@ -85,32 +81,6 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape})"
-
-    # operator sugar
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def as_tensor(x) -> Tensor:
@@ -225,13 +195,6 @@ def softmax(a, axis=-1) -> Tensor:
 
 
 # --- shape / reduction primitives ---------------------------------------------
-
-def reshape(a, shape) -> Tensor:
-    a = as_tensor(a)
-    out = Tensor(a.data.reshape(shape), (a,))
-    out._backward = lambda g: a._accum(g.reshape(a.data.shape))
-    return out
-
 
 def transpose_last2(a) -> Tensor:
     a = as_tensor(a)

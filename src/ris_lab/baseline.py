@@ -78,13 +78,6 @@ def project_simplex(v, total) -> np.ndarray:
     return np.maximum(v - tau, 0.0)
 
 
-def wrap_phase(phi) -> np.ndarray:
-    """Reduce angles into [0, 2*pi), sending the boundary to zero."""
-    w = np.mod(np.asarray(phi, dtype=np.float64), _TWO_PI)
-    w[w >= _TWO_PI] = 0.0
-    return w
-
-
 def _forward(channels, p, phi):
     """The objective's forward pass on a stack of (p, phi) rows.
 

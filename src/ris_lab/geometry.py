@@ -379,21 +379,6 @@ def _link_pathloss(scene: Scene, a: Point2, b: Point2) -> float:
     return attenuation_factor(total_penetration(scene, a, b), scene.kappa) * a.dist(b)
 
 
-def effective_pathloss_tr(scene: Scene, l: int) -> float:
-    """Effective pathloss of the transmitter -> RIS l link: alpha_l * distance."""
-    return _link_pathloss(scene, scene.transmitter, scene.ris_positions[l])
-
-
-def effective_pathloss_ru(scene: Scene, l: int, k: int) -> float:
-    """Effective pathloss of the RIS l -> user k link: beta_{l,k} * distance."""
-    return _link_pathloss(scene, scene.ris_positions[l], scene.users[k])
-
-
-def effective_pathloss_tu(scene: Scene, k: int) -> float:
-    """Effective pathloss of the direct transmitter -> user k link."""
-    return _link_pathloss(scene, scene.transmitter, scene.users[k])
-
-
 @dataclass(frozen=True)
 class LinkTable:
     """Effective pathloss of every link in a scene: tr[l] from the

@@ -142,16 +142,11 @@ def init_params(dims, hidden, rng) -> MLPParams:
 
 def vectorize_input(channels: tm.ChannelSet) -> np.ndarray:
     """Real input vector: H row-major, then h_1..h_K, then g_1..g_K, each
-    complex entry contributing its real and imaginary part in place."""
-    flat = np.concatenate([channels.H.reshape(-1), channels.h.reshape(-1),
-                           channels.g.reshape(-1)])
-    return np.ascontiguousarray(flat).view(np.float64)
-
-
-def vectorize_batch(batch: tm.ChannelBatch) -> np.ndarray:
-    s = len(batch)
-    flat = np.concatenate([batch.H.reshape(s, -1), batch.h.reshape(s, -1),
-                           batch.g.reshape(s, -1)], axis=1)
+    complex entry contributing its real and imaginary part in place. A
+    ChannelBatch gives one such row per sample."""
+    shape = channels.H.shape[:-2] + (-1,)
+    flat = np.concatenate([channels.H.reshape(shape), channels.h.reshape(shape),
+                           channels.g.reshape(shape)], axis=-1)
     return np.ascontiguousarray(flat).view(np.float64)
 
 
@@ -256,9 +251,7 @@ def loss(params: MLPParams, batch: tm.ChannelBatch) -> ad.Tensor:
     The taped loss is the gradient oracle for _train_step; training does
     not build it.
     """
-    if len(batch) < 1:
-        raise ValueError("loss needs a nonempty batch")
-    raw_p, raw_phi, _ = _forward(params, vectorize_batch(batch))
+    raw_p, raw_phi, _ = _forward(params, vectorize_input(batch))
     p, phi = normalize_outputs_graph(raw_p, raw_phi, batch.p_max)
     objective = tm.weighted_sum_rate_graph(batch, p, phi)
     return ad.neg(ad.tmean(objective))
@@ -274,7 +267,7 @@ def _train_step(params: MLPParams, batch: tm.ChannelBatch):
     A loss that is not finite comes back with grads None: the backward
     would only spread the overflow.
     """
-    x = vectorize_batch(batch)
+    x = vectorize_input(batch)
     inv_n = 1.0 / x.shape[0]
     d = x
     layers, stats = [], []

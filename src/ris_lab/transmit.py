@@ -24,7 +24,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -50,13 +50,23 @@ def _as_float_vec(x, name):
     return v
 
 
+def _channel_field(value, name, dtype, ndim) -> np.ndarray:
+    a = np.asarray(value, dtype=dtype)
+    if a.ndim != ndim:
+        raise ValueError(f"{name} must have {ndim} dimensions, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} has non-finite entries")
+    return np.ascontiguousarray(a)
+
+
 @dataclass(frozen=True)
 class ChannelSet:
     """One realization of all channels plus per-user weights and noise.
 
     H: (N, NT) transmitter to surface. h: (K, N) rows are surface to user k.
     g: (K, NT) rows are direct transmitter to user k. sigma2 and user_weight
-    are length-K vectors; p_max is the transmit power budget.
+    are length-K vectors; p_max is the transmit power budget. A subclass
+    sets _sample_axes to put that many leading sample axes on every array.
     """
 
     H: np.ndarray
@@ -66,27 +76,29 @@ class ChannelSet:
     user_weight: np.ndarray
     p_max: float = 1.0
 
+    _sample_axes: ClassVar[int] = 0
+
     def __post_init__(self):
-        H = clinalg.as_cmat(np.asarray(self.H), "H")
-        h = clinalg.as_cmat(np.asarray(self.h), "h")
-        g = clinalg.as_cmat(np.asarray(self.g), "g")
-        sigma2 = _as_float_vec(self.sigma2, "sigma2")
-        weight = _as_float_vec(self.user_weight, "user_weight")
-        n, nt = H.shape
-        k = h.shape[0]
-        if k < 1 or n < 1 or nt < 1:
+        lead = self._sample_axes
+        H = _channel_field(self.H, "H", np.complex128, lead + 2)
+        h = _channel_field(self.h, "h", np.complex128, lead + 2)
+        g = _channel_field(self.g, "g", np.complex128, lead + 2)
+        sigma2 = _channel_field(self.sigma2, "sigma2", np.float64, lead + 1)
+        weight = _channel_field(self.user_weight, "user_weight", np.float64, lead + 1)
+        stack, (n, nt), k = H.shape[:-2], H.shape[-2:], h.shape[-2]
+        if min(H.shape) < 1 or k < 1:
             raise ValueError("all dimensions must be at least 1")
-        if h.shape != (k, n):
-            raise ValueError(f"h must be (K, N) = ({k}, {n}), got {h.shape}")
-        if g.shape != (k, nt):
-            raise ValueError(f"g must be (K, NT) = ({k}, {nt}), got {g.shape}")
-        if sigma2.shape != (k,) or weight.shape != (k,):
-            raise ValueError("sigma2 and user_weight must have length K")
+        if h.shape != stack + (k, n):
+            raise ValueError(f"h must be (..., K, N) = {stack + (k, n)}, got {h.shape}")
+        if g.shape != stack + (k, nt):
+            raise ValueError(f"g must be (..., K, NT) = {stack + (k, nt)}, got {g.shape}")
+        if sigma2.shape != stack + (k,) or weight.shape != stack + (k,):
+            raise ValueError(f"sigma2 and user_weight must be (..., K) = {stack + (k,)}")
         if np.any(sigma2 <= 0.0):
             raise ValueError("sigma2 must be positive")
-        # with no negative weight, a positive sum means a positive maximum,
-        # which unlike the sum cannot overflow
-        if np.any(weight < 0.0) or weight.max(initial=0.0) <= 0.0:
+        # with no negative weight, a positive entry means a positive sum,
+        # and unlike the sum it cannot overflow
+        if np.any(weight < 0.0) or not np.all(np.any(weight > 0.0, axis=-1)):
             raise ValueError("user weights must be nonnegative with positive sum")
         p_max = float(self.p_max)
         if not np.isfinite(p_max) or p_max <= 0.0:
@@ -100,15 +112,15 @@ class ChannelSet:
 
     @property
     def K(self) -> int:
-        return self.h.shape[0]
+        return self.h.shape[-2]
 
     @property
     def N(self) -> int:
-        return self.H.shape[0]
+        return self.H.shape[-2]
 
     @property
     def NT(self) -> int:
-        return self.H.shape[1]
+        return self.H.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -383,68 +395,17 @@ def weighted_sum_rate_grads(channels: ChannelSet, p, phi):
 # --- batched containers -------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ChannelBatch:
+class ChannelBatch(ChannelSet):
     """A stack of channel realizations sharing dimensions and budget.
 
     Arrays carry a leading sample axis: H (S, N, NT), h (S, K, N),
-    g (S, K, NT), sigma2 and user_weight (S, K).
+    g (S, K, NT), sigma2 and user_weight (S, K); S is at least 1.
     """
 
-    H: np.ndarray
-    h: np.ndarray
-    g: np.ndarray
-    sigma2: np.ndarray
-    user_weight: np.ndarray
-    p_max: float = 1.0
-
-    def __post_init__(self):
-        H = np.ascontiguousarray(np.asarray(self.H, dtype=np.complex128))
-        h = np.ascontiguousarray(np.asarray(self.h, dtype=np.complex128))
-        g = np.ascontiguousarray(np.asarray(self.g, dtype=np.complex128))
-        sigma2 = np.ascontiguousarray(np.asarray(self.sigma2, dtype=np.float64))
-        weight = np.ascontiguousarray(np.asarray(self.user_weight, dtype=np.float64))
-        if H.ndim != 3 or h.ndim != 3 or g.ndim != 3:
-            raise ValueError("batch channel arrays must be three dimensional")
-        s, n, nt = H.shape
-        k = h.shape[1]
-        if h.shape != (s, k, n) or g.shape != (s, k, nt):
-            raise ValueError("batch array shapes are inconsistent")
-        if sigma2.shape != (s, k) or weight.shape != (s, k):
-            raise ValueError("sigma2 and user_weight must be (S, K)")
-        for name, arr in (("H", H), ("h", h), ("g", g), ("sigma2", sigma2),
-                          ("user_weight", weight)):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} has non-finite entries")
-        if np.any(sigma2 <= 0.0):
-            raise ValueError("sigma2 must be positive")
-        # with no negative weight, a positive sum means some positive
-        # weight, which unlike the sum cannot overflow
-        if np.any(weight < 0.0) or not np.all(np.any(weight > 0.0, axis=1)):
-            raise ValueError("user weights must be nonnegative with positive sum")
-        p_max = float(self.p_max)
-        if not np.isfinite(p_max) or p_max <= 0.0:
-            raise ValueError("p_max must be positive")
-        object.__setattr__(self, "H", H)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "sigma2", sigma2)
-        object.__setattr__(self, "user_weight", weight)
-        object.__setattr__(self, "p_max", p_max)
+    _sample_axes: ClassVar[int] = 1
 
     def __len__(self) -> int:
         return self.H.shape[0]
-
-    @property
-    def K(self) -> int:
-        return self.h.shape[1]
-
-    @property
-    def N(self) -> int:
-        return self.H.shape[1]
-
-    @property
-    def NT(self) -> int:
-        return self.H.shape[2]
 
     def sample(self, i: int) -> ChannelSet:
         return ChannelSet(H=self.H[i], h=self.h[i], g=self.g[i],

@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +25,11 @@ from .geometry import Point2, Polygon
 USER_LEVEL = 200
 OBSTACLE_LEVEL = 90
 USER_RADIUS_M = 0.5
+
+# recovery settings: the crop margin around each detected object and the
+# polygon simplification tolerance, both in pixels
+_CROP_MARGIN_PX = 6
+_POLYGON_EPSILON_PX = 2.0
 
 _SOBEL_X = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]])
 _SOBEL_Y = _SOBEL_X.T
@@ -186,10 +190,6 @@ class DetectedObject:
     bbox: tuple  # (x, y, w, h) in pixels
 
 
-_NEIGHBORS8 = [(-1, -1), (-1, 0), (-1, 1), (0, -1),
-               (0, 1), (1, -1), (1, 0), (1, 1)]
-
-
 def _connected_components(mask):
     """8-connected components in deterministic scan order; each is an
     (rows, cols) index pair.
@@ -343,37 +343,20 @@ def canny_edges(raster, low=40.0, high=100.0):
         behind[sel] = shifted(*back)[sel]
     ridge = (mag >= ahead) & (mag >= behind) & (mag > 0.0)
 
-    strong = ridge & (mag >= high)
-    weak = ridge & (mag >= low) & (mag < high)
-    edges = strong.astype(np.uint8)
-    queue = deque(zip(*np.nonzero(strong)))
-    while queue:
-        r, c = queue.popleft()
-        for dr, dc in _NEIGHBORS8:
-            rr, cc = r + dr, c + dc
-            if 0 <= rr < hgt and 0 <= cc < wdt and weak[rr, cc] and not edges[rr, cc]:
-                edges[rr, cc] = 1
-                queue.append((rr, cc))
+    return _hysteresis(ridge, mag, low, high)
+
+
+def _hysteresis(ridge, mag, low, high):
+    """Double threshold with hysteresis: every 8-connected component of
+    ridge pixels at or above low that reaches high somewhere is an edge."""
+    edges = np.zeros(mag.shape, dtype=np.uint8)
+    for rows, cols in _connected_components(ridge & (mag >= low)):
+        if (mag[rows, cols] >= high).any():
+            edges[rows, cols] = 1
     return edges
 
 
 # --- contour tracing and simplification ---------------------------------------------
-
-@dataclass(frozen=True)
-class VertexSet:
-    """Ordered polygon vertices in pixel coordinates (x = column, y = row)."""
-
-    vertices: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.vertices, dtype=np.float64)
-        if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 1:
-            raise ValueError("vertices must be an (M, 2) array")
-        object.__setattr__(self, "vertices", v)
-
-    def __len__(self):
-        return self.vertices.shape[0]
-
 
 _CLOCKWISE8 = [(-1, 0), (-1, 1), (0, 1), (1, 1),
                (1, 0), (1, -1), (0, -1), (-1, -1)]
@@ -620,9 +603,10 @@ def _refine_corners(pts, idx, trim=4, cap=5.0):
     return np.array(out, dtype=np.float64)
 
 
-def approx_polygon(edge_map, epsilon_px) -> VertexSet:
+def approx_polygon(edge_map, epsilon_px) -> np.ndarray:
     """Trace the longest closed contour of a binary edge map and simplify
-    it to a polygon at the given pixel tolerance.
+    it to a polygon at the given pixel tolerance; returns the (M, 2)
+    vertices in pixel coordinates (x = column, y = row), in contour order.
 
     The closed loop is cut at its two farthest-apart points (found with the
     usual double sweep) so the open-path simplification runs on both arcs.
@@ -675,44 +659,40 @@ def approx_polygon(edge_map, epsilon_px) -> VertexSet:
             break
         idx = refined
     verts = _refine_corners(pts, idx)
-    return VertexSet(np.column_stack([verts[:, 1], verts[:, 0]]))  # (x, y)
+    return np.column_stack([verts[:, 1], verts[:, 0]])  # (x, y)
 
 
 # --- world-coordinate recovery ------------------------------------------------------
 
-def recover_coordinates(objects, raster: Raster, *, epsilon_px=2.0,
-                        canny_low=40.0, canny_high=100.0, margin_px=6):
+def recover_coordinates(objects, raster: Raster):
     """Map detected objects back to world space.
 
     Users become the centroid of their intensity-200 pixels; obstacles go
-    through edge detection, contour tracing and polygon simplification on
-    a margin-padded crop. Returns (user points, obstacle polygons) in
+    through edge detection (canny_edges' default thresholds), contour
+    tracing and polygon simplification on a margin-padded crop. Returns (user points, obstacle polygons) in
     detection order.
     """
     users, polygons = [], []
     for obj in objects:
-        sub = crop(raster, obj.bbox, margin_px)
+        sub = crop(raster, obj.bbox, _CROP_MARGIN_PX)
         if obj.category == "user":
             rows, cols = np.nonzero(sub.pixels == USER_LEVEL)
             if rows.size == 0:
                 raise ValueError("user object contains no user-level pixels")
             users.append(sub.pixel_center(rows.mean(), cols.mean()))
         else:
-            edges = canny_edges(sub, canny_low, canny_high)
-            vertex_set = approx_polygon(edges, epsilon_px)
-            points = [sub.pixel_center(y, x) for x, y in vertex_set.vertices]
-            polygons.append(Polygon(points))
+            vertices = approx_polygon(canny_edges(sub), _POLYGON_EPSILON_PX)
+            polygons.append(Polygon([sub.pixel_center(y, x) for x, y in vertices]))
     return users, polygons
 
 
-def recover_scene(raster: Raster, ris_positions, kappa, *, threshold=0.5,
-                  **recover_kw):
-    """Full frame-to-scene path: detect, recover, and attach the known
-    surface positions and attenuation coefficient."""
+def recover_scene(raster: Raster, ris_positions, kappa):
+    """Full frame-to-scene path: detect (detect_objects' default
+    threshold), recover, and attach the known surface positions and
+    attenuation coefficient."""
     from .geometry import Scene
 
-    objects = detect_objects(raster, threshold)
-    users, obstacles = recover_coordinates(objects, raster, **recover_kw)
+    users, obstacles = recover_coordinates(detect_objects(raster), raster)
     return Scene(ris_positions=ris_positions, users=users,
                  obstacles=obstacles, kappa=kappa)
 

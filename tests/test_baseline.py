@@ -74,15 +74,6 @@ def test_project_simplex_idempotent():
         assert np.max(np.abs(again - x)) < 1e-12
 
 
-def test_wrap_phase():
-    out = bl.wrap_phase([2 * np.pi, -0.5, 7.0, 0.0])
-    assert out[0] == 0.0
-    assert out[1] == pytest.approx(2 * np.pi - 0.5, rel=1e-12)
-    assert out[2] == pytest.approx(7.0 - 2 * np.pi, rel=1e-12)
-    assert out[3] == 0.0
-    assert np.all(out >= 0.0) and np.all(out < 2 * np.pi)
-
-
 # --- alternating optimization -------------------------------------------------------
 
 def test_ao_single_iteration_improves_or_matches():
@@ -173,7 +164,7 @@ def sequential_ao(channels, config):
         if best is None or f > best[0]:
             best = (f, point, trace)
     _, point, trace = best
-    return point["p"], bl.wrap_phase(point["phi"]), trace
+    return point["p"], tm.PhaseVector.wrapped(point["phi"]).phi, trace
 
 
 def test_stacked_restarts_match_sequential_reference_exactly():

@@ -388,6 +388,21 @@ def test_benchmark_dim_mismatch_exits_2(pipeline, workdir, capsys):
     assert "do not match" in capsys.readouterr().err
 
 
+def test_benchmark_zero_sample_dataset_exits_2(pipeline, workdir, capsys):
+    # a test dataset that parses but whose header declares no samples
+    cfg, paths = pipeline
+    raw = paths["test"].read_bytes()
+    (workdir / "empty.risd").write_bytes(raw[:20] + struct.pack("<I", 0))
+    sidecar = paths["test"].with_name(paths["test"].name + ".json")
+    (workdir / "empty.risd.json").write_text(sidecar.read_text())
+    save_config("empty.json", dataclasses.replace(
+        cfg, test_dataset_path="empty.risd", report_path="empty-report.json"))
+    capsys.readouterr()
+    assert cli.main(["benchmark", "--config", "empty.json"]) == 2
+    assert capsys.readouterr().err == "error: all dimensions must be at least 1\n"
+    assert not (workdir / "empty-report.json").exists()
+
+
 # --- report helpers -------------------------------------------------------
 
 def test_report_validation():

@@ -26,9 +26,6 @@ from ris_lab.geometry import (
     _polygon_gap,
     _polygons_overlap,
     attenuation_factor,
-    effective_pathloss_ru,
-    effective_pathloss_tr,
-    effective_pathloss_tu,
     link_table,
     penetration_length,
     point_gap_below,
@@ -188,7 +185,7 @@ def test_attenuation_monotone():
 
 def test_pathloss_tr_los():
     scene = Scene(ris_positions=(Point2(3, 4),), users=(Point2(1, 1),))
-    assert effective_pathloss_tr(scene, 0) == pytest.approx(5.0, abs=1e-12)
+    assert link_table(scene).tr[0] == pytest.approx(5.0, abs=1e-12)
 
 
 def test_pathloss_tr_with_penetration():
@@ -196,15 +193,15 @@ def test_pathloss_tr_with_penetration():
     # arclength 1 to arclength 3: penetration exactly 2, alpha = 1 + 0.5*2 = 2
     rect = _square(0.6, 0.0, 1.8, 5.0)
     scene = Scene(ris_positions=(Point2(3, 4),), users=(Point2(9, -5),), obstacles=(rect,), kappa=0.5)
-    assert effective_pathloss_tr(scene, 0) == pytest.approx(10.0, abs=1e-9)
+    assert link_table(scene).tr[0] == pytest.approx(10.0, abs=1e-9)
 
 
 def test_pathloss_ru_los_and_attenuated():
     scene = Scene(ris_positions=(Point2(6, 0),), users=(Point2(9, 4),))
-    assert effective_pathloss_ru(scene, 0, 0) == pytest.approx(5.0, abs=1e-12)
+    assert link_table(scene).ru[0][0] == pytest.approx(5.0, abs=1e-12)
     rect = _square(6.6, -1.0, 7.8, 9.0)
     scene2 = Scene(ris_positions=(Point2(6, 0),), users=(Point2(9, 4),), obstacles=(rect,), kappa=0.5)
-    assert effective_pathloss_ru(scene2, 0, 0) == pytest.approx(10.0, abs=1e-9)
+    assert link_table(scene2).ru[0][0] == pytest.approx(10.0, abs=1e-9)
 
 
 def test_pathloss_matches_sampling_oracle_random_scene():
@@ -220,24 +217,25 @@ def test_pathloss_matches_sampling_oracle_random_scene():
             obstacles=tuple(obstacles),
             kappa=0.8,
         )
+        links = link_table(scene)
         for l in range(scene.num_ris):
             r = scene.ris_positions[l]
             pen = sum(oracle_penetration(scene.transmitter, r, ob) for ob in scene.obstacles)
             expect = (1.0 + scene.kappa * pen) * math.hypot(r.x, r.y)
-            assert effective_pathloss_tr(scene, l) == pytest.approx(expect, rel=1e-3)
+            assert links.tr[l] == pytest.approx(expect, rel=1e-3)
             for k in range(scene.num_users):
                 u = scene.users[k]
                 pen = sum(oracle_penetration(r, u, ob) for ob in scene.obstacles)
                 expect = (1.0 + scene.kappa * pen) * r.dist(u)
-                assert effective_pathloss_ru(scene, l, k) == pytest.approx(expect, rel=1e-3)
+                assert links.ru[l][k] == pytest.approx(expect, rel=1e-3)
 
 
 def test_pathloss_tu_direct_link():
     scene = Scene(ris_positions=(Point2(0, 9),), users=(Point2(3, 4),))
-    assert effective_pathloss_tu(scene, 0) == pytest.approx(5.0, abs=1e-12)
+    assert link_table(scene).tu[0] == pytest.approx(5.0, abs=1e-12)
     rect = _square(0.6, 0.0, 1.8, 5.0)
     scene2 = Scene(ris_positions=(Point2(0, 9),), users=(Point2(3, 4),), obstacles=(rect,), kappa=0.5)
-    assert effective_pathloss_tu(scene2, 0) == pytest.approx(10.0, abs=1e-9)
+    assert link_table(scene2).tu[0] == pytest.approx(10.0, abs=1e-9)
 
 
 # --- select_ris --------------------------------------------------------------

@@ -62,7 +62,7 @@ def test_vectorize_batch_rows_match_single():
     rng = np.random.default_rng(5)
     sets = [make_channels(rng) for _ in range(4)]
     batch = tm.ChannelBatch.from_sets(sets)
-    rows = pl.vectorize_batch(batch)
+    rows = pl.vectorize_input(batch)
     for i, ch in enumerate(sets):
         assert np.array_equal(rows[i], pl.vectorize_input(ch))
 
@@ -222,7 +222,7 @@ def test_loss_single_user_single_sample():
     batch = tm.ChannelBatch.from_sets([ch])
     params = pl.init_params((1, 2, 2), (8,), rng)
     value = pl.loss(params, batch)
-    raw_p, raw_phi, _ = pl._forward(params, pl.vectorize_batch(batch))
+    raw_p, raw_phi, _ = pl._forward(params, pl.vectorize_input(batch))
     power, phases = pl.normalize_outputs(raw_p.data[0], raw_phi.data[0], ch.p_max)
     want = -tm.weighted_sum_rate(ch, power, phases)
     assert value.data.item() == pytest.approx(want, abs=1e-10)
@@ -235,7 +235,7 @@ def test_loss_matches_mean_objective():
     batch = tm.ChannelBatch.from_sets(sets)
     params = pl.init_params((3, 3, 4), (16, 8), rng)
     value = pl.loss(params, batch)
-    raw_p, raw_phi, _ = pl._forward(params, pl.vectorize_batch(batch))
+    raw_p, raw_phi, _ = pl._forward(params, pl.vectorize_input(batch))
     rates = []
     for i, ch in enumerate(sets):
         power, phases = pl.normalize_outputs(raw_p.data[i], raw_phi.data[i],
@@ -303,7 +303,7 @@ def test_train_step_matches_taped_gradients(dims, hidden, count):
     value, grads, stats = pl._train_step(params, batch)
     want_value, want = _taped_gradients(params, batch)
     assert value == want_value
-    _, _, want_stats = pl._forward(params, pl.vectorize_batch(batch))
+    _, _, want_stats = pl._forward(params, pl.vectorize_input(batch))
     for (mu, var), (want_mu, want_var) in zip(stats, want_stats):
         assert np.array_equal(mu, want_mu) and np.array_equal(var, want_var)
     hidden_biases = {4 * g + 1 for g in range(len(hidden))}

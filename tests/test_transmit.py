@@ -5,6 +5,7 @@ cascade row, and per-user rate recomputation through full beamformers used
 to cross-check the power-plus-direction objective path.
 """
 
+import struct
 import warnings
 
 import numpy as np
@@ -285,10 +286,14 @@ def test_phase_vector_range_and_wrap():
         tm.PhaseVector([0.0, 2 * np.pi])
     with pytest.raises(ValueError):
         tm.PhaseVector([-0.1])
-    wrapped = tm.PhaseVector.wrapped([2 * np.pi + 0.5, -0.5, -1e-18])
+    wrapped = tm.PhaseVector.wrapped([2 * np.pi + 0.5, -0.5, -1e-18, 2 * np.pi,
+                                      7.0, 0.0])
     assert wrapped.phi[0] == pytest.approx(0.5, rel=1e-12)
     assert wrapped.phi[1] == pytest.approx(2 * np.pi - 0.5, rel=1e-12)
     assert 0.0 <= wrapped.phi[2] < 2 * np.pi
+    assert wrapped.phi[3] == 0.0
+    assert wrapped.phi[4] == pytest.approx(7.0 - 2 * np.pi, rel=1e-12)
+    assert wrapped.phi[5] == 0.0
     assert np.allclose(np.abs(wrapped.unit()), 1.0, rtol=0, atol=1e-15)
 
 
@@ -305,22 +310,69 @@ def test_beamformer_budget_check():
         tm.BeamformerSet(np.ones((2, 2), dtype=np.complex128), p_max=1.0)
 
 
-def test_channel_set_validation():
-    ok = random_channels(np.random.default_rng(0), k=2, n=3, nt=4)
-    with pytest.raises(ValueError):
-        tm.ChannelSet(H=ok.H, h=ok.h[:, :2], g=ok.g, sigma2=ok.sigma2,
-                      user_weight=ok.user_weight)
-    with pytest.raises(ValueError):
-        tm.ChannelSet(H=ok.H, h=ok.h, g=ok.g, sigma2=[1.0, 0.0],
-                      user_weight=ok.user_weight)
-    with pytest.raises(ValueError):
-        tm.ChannelSet(H=ok.H, h=ok.h, g=ok.g, sigma2=ok.sigma2,
-                      user_weight=[0.0, 0.0])
+def valid_channel_fields(cls):
+    """The fields of a valid ChannelSet, or of a 3-sample ChannelBatch."""
+    sets = [random_channels(np.random.default_rng(s), k=2, n=3, nt=4)
+            for s in range(3)]
+    ok = sets[0] if cls is tm.ChannelSet else tm.ChannelBatch.from_sets(sets)
+    return dict(H=ok.H, h=ok.h, g=ok.g, sigma2=ok.sigma2,
+                user_weight=ok.user_weight)
+
+
+@pytest.mark.parametrize("cls", [tm.ChannelSet, tm.ChannelBatch],
+                         ids=lambda c: c.__name__)
+def test_channel_validation(cls):
+    fields = valid_channel_fields(cls)
+    H, h, g, sigma2, weight = fields.values()
+
+    def build(**changes):
+        return cls(**{**fields, **changes})
+
+    ok = build()
+    assert (ok.K, ok.N, ok.NT) == (2, 3, 4)
+    with pytest.raises(ValueError, match="^H must have"):
+        build(H=H[None])
+    with pytest.raises(ValueError, match="^h must be"):
+        build(h=h[..., :2])
+    with pytest.raises(ValueError, match="^g must be"):
+        build(g=g[..., :3])
+    with pytest.raises(ValueError, match="^sigma2 and user_weight"):
+        build(sigma2=sigma2[..., :1])
+    zero_size = {
+        "K": dict(h=h[..., :0, :], g=g[..., :0, :], sigma2=sigma2[..., :0],
+                  user_weight=weight[..., :0]),
+        "N": dict(H=H[..., :0, :], h=h[..., :0]),
+        "NT": dict(H=H[..., :0], g=g[..., :0]),
+    }
+    if cls is tm.ChannelBatch:
+        zero_size["S"] = {name: a[:0] for name, a in fields.items()}
+    for changes in zero_size.values():
+        with pytest.raises(ValueError, match="all dimensions must be at least 1"):
+            build(**changes)
+    for name in fields:
+        bad = fields[name].copy()
+        bad.reshape(-1)[-1] = np.nan
+        with pytest.raises(ValueError, match=f"^{name} has non-finite entries$"):
+            build(**{name: bad})
+    bad = sigma2.copy()
+    bad.reshape(-1)[-1] = 0.0
+    with pytest.raises(ValueError, match="sigma2 must be positive"):
+        build(sigma2=bad)
+    # the weight check is per sample: the last sample's weights alone are bad
+    bad = weight.copy()
+    bad.reshape(-1, 2)[-1] = 0.0
+    with pytest.raises(ValueError, match="user weights"):
+        build(user_weight=bad)
+    bad.reshape(-1, 2)[-1] = [1.0, -0.5]
+    with pytest.raises(ValueError, match="user weights"):
+        build(user_weight=bad)
     # finite weights whose sum overflows are valid, and accepted quietly
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        tm.ChannelSet(H=ok.H, h=ok.h, g=ok.g, sigma2=ok.sigma2,
-                      user_weight=[1e308, 1e308])
+        build(user_weight=np.full_like(weight, 1e308))
+    for p_max in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="p_max"):
+            build(p_max=p_max)
 
 
 # --- batched differentiable evaluation ----------------------------------------------
@@ -560,38 +612,15 @@ def test_dataset_rejects_bad_files(tmp_path):
     with pytest.raises(ValueError, match="sidecar"):
         tm.load_dataset(orphan)
 
-
-def test_channel_batch_validation():
-    ok = tm.ChannelBatch.from_sets(
-        [random_channels(np.random.default_rng(s), k=2, n=3, nt=4) for s in range(3)])
-    fields = dict(H=ok.H, h=ok.h, g=ok.g, sigma2=ok.sigma2,
-                  user_weight=ok.user_weight)
-
-    def build(**changes):
-        return tm.ChannelBatch(**{**fields, **changes})
-
-    for name in ("H", "h", "g", "sigma2", "user_weight"):
-        bad = fields[name].copy()
-        bad.reshape(-1)[5] = np.nan
-        with pytest.raises(ValueError, match=f"^{name} has non-finite"):
-            build(**{name: bad})
-    sigma2 = ok.sigma2.copy()
-    sigma2[1, 0] = 0.0
-    with pytest.raises(ValueError, match="sigma2 must be positive"):
-        build(sigma2=sigma2)
-    weight = ok.user_weight.copy()
-    weight[2] = 0.0
-    with pytest.raises(ValueError, match="user weights"):
-        build(user_weight=weight)
-    weight[2] = [1.0, -0.5]
-    with pytest.raises(ValueError, match="user weights"):
-        build(user_weight=weight)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        build(user_weight=np.full_like(weight, 1e308))
-    for p_max in (0.0, np.inf, np.nan):
-        with pytest.raises(ValueError, match="p_max"):
-            build(p_max=p_max)
+    # headers that parse but declare zero samples, or zero elements
+    for name, (k, n, nt, s) in (("empty", (1, 2, 2, 0)), ("flat", (1, 0, 2, 1))):
+        path = tmp_path / f"{name}.risd"
+        row = 2 * (n * nt + k * n + k * nt) + 2 * k
+        path.write_bytes(b"RISD" + struct.pack("<IIIII", 1, k, n, nt, s)
+                         + bytes(8 * row * s))
+        (tmp_path / f"{name}.risd.json").write_text('{"p_max": 1.0}')
+        with pytest.raises(ValueError, match="all dimensions must be at least 1"):
+            tm.load_dataset(path)
 
 
 def test_channel_batch_sample_and_subset():

@@ -5,6 +5,8 @@ hand and from mapping arithmetic written out in the tests, never from the
 functions under test.
 """
 
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -289,7 +291,7 @@ def test_canny_repeat_call_identical():
 
 def test_approx_square_four_corners():
     edges = canny_edges(square_raster())
-    verts = approx_polygon(edges, 2.0).vertices
+    verts = approx_polygon(edges, 2.0)
     assert len(verts) == 4
     true_corners = [(29.5, 29.5), (29.5, 70.5), (70.5, 29.5), (70.5, 70.5)]
     for cx, cy in true_corners:
@@ -300,7 +302,7 @@ def test_approx_square_four_corners():
 def test_approx_triangle_three_vertices():
     tri = Polygon([Point2(-4.0, -3.0), Point2(4.5, -2.0), Point2(0.5, 4.0)])
     raster = render_top_view(Scene(obstacles=[tri]), 160, half_extent=6.0)
-    verts = approx_polygon(canny_edges(raster), 2.0).vertices
+    verts = approx_polygon(canny_edges(raster), 2.0)
     assert len(verts) == 3
 
 
@@ -308,7 +310,7 @@ def test_approx_circle_few_vertices():
     pixels = np.zeros((101, 101), np.uint8)
     draw_disc(pixels, 50, 50, 20, 90)
     raster = Raster(pixels=pixels, meters_per_pixel=1.0, world_origin=Point2(0, 0))
-    verts = approx_polygon(canny_edges(raster), 10.0).vertices
+    verts = approx_polygon(canny_edges(raster), 10.0)
     assert 3 <= len(verts) <= 8
 
 
@@ -574,6 +576,24 @@ def ref_components(mask):
     return components
 
 
+def ref_hysteresis(ridge, mag, low, high):
+    """Breadth-first growth from the strong ridge pixels into the 8-connected
+    weak ones, as canny_edges first did it."""
+    h, w = mag.shape
+    strong = ridge & (mag >= high)
+    weak = ridge & (mag >= low) & (mag < high)
+    edges = strong.astype(np.uint8)
+    queue = deque(zip(*np.nonzero(strong)))
+    while queue:
+        r, c = queue.popleft()
+        for dr, dc in NEIGHBORS8:
+            rr, cc = r + dr, c + dc
+            if 0 <= rr < h and 0 <= cc < w and weak[rr, cc] and not edges[rr, cc]:
+                edges[rr, cc] = 1
+                queue.append((rr, cc))
+    return edges
+
+
 def ref_render_pixels(scene, raster):
     """Full-frame rasterization on the frame's own pixel grid."""
     mpp, origin = raster.meters_per_pixel, raster.world_origin
@@ -657,6 +677,32 @@ def test_components_match_flood_fill(shape):
         assert all(len(vision._connected_components(m)) == 1 for m in masks)
 
 
+@pytest.fixture(scope="module")
+def edge_test_images():
+    """Obstacle crops of seeded scenes, plus random images whose ridges
+    branch and touch far more than a clean render's do."""
+    gen = SceneGenConfig(n_ris=6, n_users=4)
+    rng = np.random.default_rng(43)
+    images = []
+    for _ in range(12):
+        raster = render_top_view(random_scene(gen, rng), 512, gen.region + 1.0)
+        images += [crop(raster, obj.bbox, 6) for obj in detect_objects(raster)
+                   if obj.category == "obstacle"]
+    images += [rng.integers(0, 256, (40, 50)) for _ in range(20)]
+    return images
+
+
+@pytest.mark.parametrize("low,high", [(40.0, 100.0), (10.0, 60.0),
+                                      (90.0, 180.0), (0.0, 255.0)])
+def test_hysteresis_matches_breadth_first_growth(monkeypatch, edge_test_images,
+                                                 low, high):
+    fast = [canny_edges(image, low, high) for image in edge_test_images]
+    assert any(e.any() for e in fast)
+    monkeypatch.setattr(vision, "_hysteresis", ref_hysteresis)
+    for image, got in zip(edge_test_images, fast):
+        assert np.array_equal(got, canny_edges(image, low, high))
+
+
 def test_arc_table_matches_scalar_deviation():
     pts = contour_points(5)
     n = len(pts)
@@ -719,7 +765,7 @@ def test_fast_chain_matches_scalar_chain(monkeypatch):
             out.append((detect_objects(raster),
                         [(u.x, u.y) for u in rec.users],
                         [[(v.x, v.y) for v in ob.vertices] for ob in rec.obstacles]))
-        return out, [vs.vertices for vs in made]
+        return out, list(made)
 
     fast, fast_vertices = run()
     monkeypatch.setattr(vision, "_connected_components", ref_components)
